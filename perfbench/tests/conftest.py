@@ -1,0 +1,6 @@
+"""Make the program's sources importable for the benchmark's tests."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
