@@ -30,6 +30,11 @@ CPU_NOISE_STD: float = 0.35
 _RATE_METRICS = ("bytes_in", "bytes_out", "pkts_in", "pkts_out", "io_bi", "io_bo", "swap_in", "swap_out")
 _CPU_PCT_METRICS = ("cpu_user", "cpu_system", "cpu_idle", "cpu_nice", "cpu_wio")
 
+#: Metric name -> position in the announced vector.
+_INDEX: dict[str, int] = {name: metric_index(name) for name in ALL_METRIC_NAMES}
+_RATE_INDEX = np.array([_INDEX[name] for name in _RATE_METRICS], dtype=np.intp)
+_CPU_PCT_INDEX = np.array([_INDEX[name] for name in _CPU_PCT_METRICS], dtype=np.intp)
+
 
 class Gmond:
     """Per-VM metric collection and announcement daemon.
@@ -85,7 +90,7 @@ class Gmond:
         values = np.zeros(NUM_METRICS, dtype=np.float64)
 
         def put(name: str, value: float) -> None:
-            values[metric_index(name)] = value
+            values[_INDEX[name]] = value
 
         stat = self.procfs.stat()
         net = self.procfs.net_dev()
@@ -167,13 +172,17 @@ class Gmond:
         return values
 
     def _apply_noise(self, values: np.ndarray) -> None:
-        """Measurement noise: relative on rates, absolute on CPU percents."""
-        for name in _RATE_METRICS:
-            i = metric_index(name)
-            values[i] = max(values[i] * (1.0 + self.rng.normal(0.0, RATE_NOISE_STD)), 0.0)
-        for name in _CPU_PCT_METRICS:
-            i = metric_index(name)
-            values[i] = float(np.clip(values[i] + self.rng.normal(0.0, CPU_NOISE_STD), 0.0, 100.0))
+        """Measurement noise: relative on rates, absolute on CPU percents.
+
+        One standard-normal draw per noisy metric, rates first, each in
+        catalog-tuple order: the same stream, and the same values, as one
+        ``normal(0, std)`` call per metric.
+        """
+        z = self.rng.standard_normal(len(_RATE_INDEX) + len(_CPU_PCT_INDEX))
+        rate_noise = z[: len(_RATE_INDEX)] * RATE_NOISE_STD
+        cpu_noise = z[len(_RATE_INDEX) :] * CPU_NOISE_STD
+        values[_RATE_INDEX] = np.maximum(values[_RATE_INDEX] * (1.0 + rate_noise), 0.0)
+        values[_CPU_PCT_INDEX] = np.clip(values[_CPU_PCT_INDEX] + cpu_noise, 0.0, 100.0)
 
     def announce(self, now: float) -> MetricAnnouncement:
         """Collect and publish one announcement; returns it."""

@@ -97,7 +97,8 @@ def max_min_factors(demands: list[float], capacity: float) -> list[float]:
             break
         for i in fully:
             remaining -= demands[i]
-        unsatisfied = [i for i in unsatisfied if i not in set(fully)]
+        satisfied = set(fully)
+        unsatisfied = [i for i in unsatisfied if i not in satisfied]
     return factors
 
 

@@ -3,32 +3,56 @@
 Advances a :class:`~repro.vm.cluster.Cluster` in 1-second ticks.  Each
 tick it:
 
-1. collects the full-speed demands of all active workload instances,
-   passes them through their VM's memory model (paging injection), and
-   resolves contention via :mod:`repro.sim.contention`;
-2. advances each instance's progress by its granted fraction (times the
-   memory-pressure efficiency);
-3. updates every VM's kernel-style counters from granted consumption,
-   plus background daemon noise (so idle machines look like real idle
+1. looks up the tick's :class:`TickPlan`: the full-speed demands of all
+   active workload instances, passed through their VM's memory model
+   (paging injection) and resolved via :mod:`repro.sim.contention` into
+   progress fractions and per-VM grants;
+2. advances each instance's progress by its planned fraction (the
+   granted share times the memory-pressure efficiency);
+3. updates every VM's kernel-style counters from the plan's grants, plus
+   background daemon noise (so idle machines look like real idle
    machines);
 4. fires tick listeners — the monitoring substrate hooks in here to take
    its 5-second Ganglia heartbeats.
 
 The engine is fully deterministic for a given seed.
+
+Plan cache.  Step 1 is a pure function of its inputs, and in steady
+state the same inputs repeat tick after tick: a profiled run holds one
+phase for hundreds of ticks, and a looping schedule revisits a few
+hundred allocations.  Plans are cached under a key made of
+
+* each active instance's engine key, current phase (by identity; the
+  plan keeps the phase alive) and VM name, in engine order;
+* the tick's paging burst multiplier, only when some VM pages under the
+  plan (otherwise the memory model ignores it);
+
+and the cache is emptied whenever any VM's memory size, vCPU count,
+host or host capacity differs from the previous tick, or when it holds
+:data:`MAX_PLANS` plans.  ``allocate`` runs only on a miss.
+
+Bit-identity contract.  For a given cluster, seed and sequence of calls,
+every simulated value (counters, progress, completions, and so every
+gmond announcement) is bit-for-bit what computing each tick from scratch
+gives: a cached plan holds exactly the floats
+:meth:`SimulationEngine.compute_plan` returns for the tick, the per-grant
+counter terms are added to the tick's noise in the same order, and each
+VM's daemon noise is read in blocks (:class:`BlockReader`) whose values
+equal the generator's own ``uniform``/``random`` draws.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from ..obs import counter as obs_counter, gauge as obs_gauge
 from ..vm.cluster import Cluster
-from ..vm.machine import VirtualMachine
+from ..vm.machine import VirtualMachine, paging_burst_multiplier
 from ..vm.resources import BLOCKS_PER_SWAP_KB, ResourceGrant
-from ..workloads.base import WorkloadInstance
+from ..workloads.base import Phase, WorkloadInstance
 from .contention import InstanceDemand, allocate
 
 #: Hard cap on simulation length, to catch runaway loops in tests.
@@ -37,6 +61,47 @@ DEFAULT_MAX_TICKS: int = 500_000
 #: System-time cost charged to a VM running the server side of one
 #: network stream, per unit of client progress fraction (cores).
 SERVER_CPU_SYSTEM_PER_STREAM: float = 0.08
+
+#: Raw doubles a :class:`BlockReader` takes from its generator at a time.
+NOISE_BLOCK: int = 1024
+
+#: Plans an engine caches before it empties its cache and starts over.
+MAX_PLANS: int = 4096
+
+
+class BlockReader:
+    """A generator's ``uniform``/``random`` draws, read in blocks of raw doubles.
+
+    ``Generator.random()`` returns the next raw double ``u`` of the
+    stream and ``Generator.uniform(lo, hi)`` returns ``lo + (hi - lo) * u``;
+    ``Generator.random(n)`` returns the next *n* raw doubles in order.  So
+    every value returned here is bit-identical to the same call on the
+    generator itself, in any interleaving.  Only the generator's own state
+    runs ahead, by up to one block: the reader must be its sole consumer.
+    """
+
+    __slots__ = ("_rng", "_block", "_buf", "_pos")
+
+    def __init__(self, rng: np.random.Generator, block: int = NOISE_BLOCK) -> None:
+        if block < 1:
+            raise ValueError("block must be positive")
+        self._rng = rng
+        self._block = block
+        self._buf: list[float] = []
+        self._pos = 0
+
+    def random(self) -> float:
+        """The next double in [0, 1), as ``Generator.random()``."""
+        pos = self._pos
+        if pos == len(self._buf):
+            self._buf = self._rng.random(self._block).tolist()
+            pos = 0
+        self._pos = pos + 1
+        return self._buf[pos]
+
+    def uniform(self, low: float, high: float) -> float:
+        """A draw from [low, high), as ``Generator.uniform(low, high)``."""
+        return low + (high - low) * self.random()
 
 
 @dataclass
@@ -55,8 +120,12 @@ class DaemonNoiseModel:
     io_burst_blocks: tuple[float, float] = (8.0, 50.0)
     net_bytes_range: tuple[float, float] = (200.0, 2500.0)
 
-    def sample(self, rng: np.random.Generator) -> tuple[float, float, float, float]:
-        """Return (cpu_user, cpu_system, io_blocks, net_bytes) for one tick."""
+    def sample(self, rng: np.random.Generator | BlockReader) -> tuple[float, float, float, float]:
+        """Return (cpu_user, cpu_system, io_blocks, net_bytes) for one tick.
+
+        *rng* is a generator or a :class:`BlockReader` over one; both
+        give the same values for the same stream.
+        """
         cpu_u = rng.uniform(*self.cpu_user_range)
         cpu_s = rng.uniform(*self.cpu_system_range)
         io = rng.uniform(*self.io_burst_blocks) if rng.random() < self.io_burst_probability else 0.0
@@ -95,6 +164,50 @@ DEFAULT_MIGRATION_DOWNTIME_S: float = 5.0
 
 TickListener = Callable[[float], None]
 
+#: One active instance as a plan sees it: (engine key, phase, VM name).
+PlanEntry = tuple[int, Phase, str]
+
+
+@dataclass(frozen=True)
+class VmPlan:
+    """One VM's part of a tick plan: its counter inputs other than noise.
+
+    The tuples hold per-grant terms, already multiplied by ``dt``, that
+    the tick adds in order to its noise draw (grants in engine order,
+    then the server side of network streams ending at this VM).  The
+    scalars are sums that involve no noise.
+    """
+
+    name: str
+    user: tuple[float, ...]
+    system: tuple[float, ...]
+    io_in: float
+    io_out: tuple[float, ...]
+    swap_in: float
+    swap_out: float
+    net_in: tuple[float, ...]
+    net_out: tuple[float, ...]
+    runnable: float
+    proc_total: int
+    working_set_mb: float
+
+
+@dataclass(frozen=True)
+class TickPlan:
+    """The deterministic part of one tick.
+
+    ``entries`` are its inputs, one per active instance in engine order;
+    ``progress`` is each one's granted fraction of full speed, in the
+    same order; ``vms`` has one :class:`VmPlan` per cluster VM, in
+    cluster order; ``paging`` is True when some VM pages, which makes the
+    plan depend on the tick's paging burst multiplier.
+    """
+
+    entries: tuple[PlanEntry, ...]
+    progress: tuple[float, ...]
+    vms: tuple[VmPlan, ...]
+    paging: bool
+
 
 class SimulationEngine:
     """Drives workload instances over a cluster.
@@ -126,10 +239,16 @@ class SimulationEngine:
         self._completed_keys: set[int] = set()
         self._killed_keys: set[int] = set()
         root = np.random.default_rng(seed)
-        self._vm_rngs: dict[str, np.random.Generator] = {
-            vm.name: np.random.default_rng(root.integers(0, 2**63 - 1))
+        self._vm_noise: dict[str, BlockReader] = {
+            vm.name: BlockReader(np.random.default_rng(root.integers(0, 2**63 - 1)))
             for vm in cluster.iter_vms()
         }
+        self._hardware: tuple = ()
+        self._vms: tuple[VirtualMachine, ...] = ()
+        self._plans: dict[tuple, TickPlan] = {}
+        self._burst_dependent: set[tuple] = set()
+        #: The plan the last tick used (None before the first tick).
+        self.last_plan: TickPlan | None = None
 
     # ------------------------------------------------------------------
     # setup
@@ -263,62 +382,18 @@ class SimulationEngine:
         active: list[tuple[int, WorkloadInstance]] = [
             (key, inst) for key, inst in self._instances.items() if inst.has_started(t)
         ]
+        plan = self._tick_plan(active)
+        self.last_plan = plan
 
-        # -- 1. demands through the VM memory model ---------------------
-        # Co-located instances share their VM's RAM: memory pressure is
-        # evaluated on the *sum* of working sets in each VM.
-        working_sets: dict[str, float] = {vm.name: 0.0 for vm in self.cluster.iter_vms()}
-        for _key, inst in active:
-            working_sets[inst.vm_name] += inst.current_phase().demand.mem_mb
+        # -- progress ------------------------------------------------------
+        for (_key, inst), fraction in zip(active, plan.progress):
+            inst.advance(granted_fraction=fraction, dt=dt, now=t)
 
-        demands: list[InstanceDemand] = []
-        efficiencies: dict[int, float] = {}
-        remote_streams: dict[str, list[tuple[int, float, float]]] = {}
-        for key, inst in active:
-            vm = self.cluster.vm(inst.vm_name)
-            phase = inst.current_phase()
-            nominal = phase.demand
-            vm_ws = working_sets[vm.name]
-            effective = vm.effective_demand(
-                nominal, tick=self.tick_index, vm_working_set_mb=vm_ws
-            )
-            pressure = vm.memory_pressure(vm_ws)
-            efficiencies[key] = pressure.efficiency
-            remote_host = None
-            if phase.remote_vm is not None:
-                remote_vm = self.cluster.vm(phase.remote_vm)
-                if remote_vm.host is None:
-                    raise ValueError(f"server VM {phase.remote_vm!r} has no host")
-                remote_host = remote_vm.host
-                remote_streams.setdefault(phase.remote_vm, []).append(
-                    (key, effective.net_out, effective.net_in)
-                )
-            demands.append(InstanceDemand(key=key, vm=vm, demand=effective, remote_host=remote_host))
+        # -- counters ------------------------------------------------------
+        for vm, vm_plan in zip(self._vms, plan.vms):
+            self._account(vm, vm_plan)
 
-        # -- 2. contention resolution -----------------------------------
-        report = allocate(demands)
-
-        # -- 3. progress -------------------------------------------------
-        for key, inst in active:
-            fraction = report.fractions[key] * efficiencies[key]
-            inst.advance(granted_fraction=min(fraction, 1.0), dt=dt, now=t)
-
-        # -- 4. counters --------------------------------------------------
-        per_vm_grants: dict[str, list[ResourceGrant]] = {}
-        for key, inst in active:
-            per_vm_grants.setdefault(inst.vm_name, []).append(report.grants[key])
-        for vm in self.cluster.iter_vms():
-            self._update_vm_counters(
-                vm,
-                grants=per_vm_grants.get(vm.name, []),
-                working_set_mb=working_sets.get(vm.name, 0.0),
-                server_streams=[
-                    (report.fractions[k], out_rate, in_rate)
-                    for (k, out_rate, in_rate) in remote_streams.get(vm.name, [])
-                ],
-            )
-
-        # -- 5. completions & time ----------------------------------------
+        # -- completions & time ----------------------------------------
         self.now = t + dt
         self.tick_index += 1
         for key, inst in active:
@@ -344,45 +419,176 @@ class SimulationEngine:
         )
 
     # ------------------------------------------------------------------
-    # counter plumbing
+    # tick plans
     # ------------------------------------------------------------------
-    def _update_vm_counters(
+    def _tick_plan(self, active: list[tuple[int, WorkloadInstance]]) -> TickPlan:
+        """The plan for this tick: from the cache, or computed on a miss."""
+        hardware = tuple(
+            (vm, vm.mem_mb, vm.vcpus, vm.host, None if vm.host is None else vm.host.capacity)
+            for vm in self.cluster.iter_vms()
+        )
+        if hardware != self._hardware:
+            self._hardware = hardware
+            self._vms = tuple(vm for vm, *_ in hardware)
+            self._plans.clear()
+            self._burst_dependent.clear()
+        base = tuple([(key, id(inst.current_phase()), inst.vm_name) for key, inst in active])
+        key: tuple = base
+        if base in self._burst_dependent:
+            key = (base, paging_burst_multiplier(self.tick_index))
+        plan = self._plans.get(key)
+        if plan is None:
+            entries = tuple((k, inst.current_phase(), inst.vm_name) for k, inst in active)
+            plan = self.compute_plan(entries, self.tick_index)
+            if len(self._plans) >= MAX_PLANS:
+                self._plans.clear()
+                self._burst_dependent.clear()
+            if plan.paging:
+                self._burst_dependent.add(base)
+                key = (base, paging_burst_multiplier(self.tick_index))
+            self._plans[key] = plan
+        return plan
+
+    def compute_plan(self, entries: tuple[PlanEntry, ...], tick: int) -> TickPlan:
+        """Resolve one tick's demands into a plan, from scratch.
+
+        *entries* lists ``(engine key, phase, VM name)`` for every active
+        instance in engine order; *tick* is the tick index, which sets
+        the paging burst.  This is what the plan cache stores; each call
+        runs ``allocate`` once.
+
+        Raises
+        ------
+        ValueError
+            If a network phase's server VM has no host.
+        """
+        vms = list(self.cluster.iter_vms())
+        # Co-located instances share their VM's RAM: memory pressure is
+        # evaluated on the *sum* of working sets in each VM.
+        working_sets: dict[str, float] = {vm.name: 0.0 for vm in vms}
+        for _key, phase, vm_name in entries:
+            working_sets[vm_name] += phase.demand.mem_mb
+
+        demands: list[InstanceDemand] = []
+        efficiencies: list[float] = []
+        paging = False
+        remote_streams: dict[str, list[tuple[int, float, float]]] = {}
+        for key, phase, vm_name in entries:
+            vm = self.cluster.vm(vm_name)
+            vm_ws = working_sets[vm_name]
+            effective = vm.effective_demand(phase.demand, tick=tick, vm_working_set_mb=vm_ws)
+            pressure = vm.memory_pressure(vm_ws)
+            efficiencies.append(pressure.efficiency)
+            paging = paging or pressure.is_paging
+            remote_host = None
+            if phase.remote_vm is not None:
+                remote_vm = self.cluster.vm(phase.remote_vm)
+                if remote_vm.host is None:
+                    raise ValueError(f"server VM {phase.remote_vm!r} has no host")
+                remote_host = remote_vm.host
+                remote_streams.setdefault(phase.remote_vm, []).append(
+                    (key, effective.net_out, effective.net_in)
+                )
+            demands.append(InstanceDemand(key=key, vm=vm, demand=effective, remote_host=remote_host))
+
+        report = allocate(demands)
+
+        progress = tuple(
+            min(report.fractions[key] * efficiency, 1.0)
+            for (key, _phase, _vm), efficiency in zip(entries, efficiencies)
+        )
+        grants: dict[str, list[ResourceGrant]] = {}
+        for key, _phase, vm_name in entries:
+            grants.setdefault(vm_name, []).append(report.grants[key])
+        vm_plans = tuple(
+            self._vm_plan(
+                vm,
+                grants=grants.get(vm.name, []),
+                working_set_mb=working_sets[vm.name],
+                server_streams=[
+                    (report.fractions[k], out_rate, in_rate)
+                    for (k, out_rate, in_rate) in remote_streams.get(vm.name, [])
+                ],
+            )
+            for vm in vms
+        )
+        return TickPlan(entries=entries, progress=progress, vms=vm_plans, paging=paging)
+
+    def _vm_plan(
         self,
         vm: VirtualMachine,
         grants: list[ResourceGrant],
         working_set_mb: float,
         server_streams: list[tuple[float, float, float]],
-    ) -> None:
+    ) -> VmPlan:
         dt = self.dt
-        rng = self._vm_rngs[vm.name]
-        noise_cpu_u, noise_cpu_s, noise_io, noise_net = self.noise.sample(rng)
-
-        user = noise_cpu_u * dt
-        system = noise_cpu_s * dt
+        user: list[float] = []
+        system: list[float] = []
+        io_out: list[float] = []
+        net_in: list[float] = []
+        net_out: list[float] = []
         io_in = 0.0
-        io_out = noise_io * dt
-        swap_i = 0.0
-        swap_o = 0.0
-        net_i = noise_net * dt
-        net_o = noise_net * 0.6 * dt
+        swap_in = 0.0
+        swap_out = 0.0
         runnable = 0.0
         for g in grants:
-            user += g.cpu_user * dt
-            system += g.cpu_system * dt
+            user.append(g.cpu_user * dt)
+            system.append(g.cpu_system * dt)
             io_in += (g.io_bi + g.swap_in * BLOCKS_PER_SWAP_KB) * dt
-            io_out += (g.io_bo + g.swap_out * BLOCKS_PER_SWAP_KB) * dt
-            swap_i += g.swap_in * dt
-            swap_o += g.swap_out * dt
-            net_i += g.net_in * dt
-            net_o += g.net_out * dt
+            io_out.append((g.io_bo + g.swap_out * BLOCKS_PER_SWAP_KB) * dt)
+            swap_in += g.swap_in * dt
+            swap_out += g.swap_out * dt
+            net_in.append(g.net_in * dt)
+            net_out.append(g.net_out * dt)
             runnable += min(1.0, g.cpu_user + g.cpu_system + (1.0 if g.io_bi + g.io_bo > 0 else 0.0) * 0.2)
 
         # Server side of network streams terminating at this VM.
         for fraction, client_out, client_in in server_streams:
-            net_i += client_out * fraction * dt
-            net_o += client_in * fraction * dt
-            system += SERVER_CPU_SYSTEM_PER_STREAM * fraction * dt
+            net_in.append(client_out * fraction * dt)
+            net_out.append(client_in * fraction * dt)
+            system.append(SERVER_CPU_SYSTEM_PER_STREAM * fraction * dt)
             runnable += 0.3 * fraction
+
+        return VmPlan(
+            name=vm.name,
+            user=tuple(user),
+            system=tuple(system),
+            io_in=io_in,
+            io_out=tuple(io_out),
+            swap_in=swap_in,
+            swap_out=swap_out,
+            net_in=tuple(net_in),
+            net_out=tuple(net_out),
+            runnable=runnable,
+            proc_total=60 + 3 * len(grants),
+            working_set_mb=working_set_mb,
+        )
+
+    # ------------------------------------------------------------------
+    # counter plumbing
+    # ------------------------------------------------------------------
+    def _account(self, vm: VirtualMachine, plan: VmPlan) -> None:
+        """Advance *vm*'s counters by one tick: its plan plus fresh daemon noise."""
+        dt = self.dt
+        noise = self._vm_noise[vm.name]
+        noise_cpu_u, noise_cpu_s, noise_io, noise_net = self.noise.sample(noise)
+
+        user = noise_cpu_u * dt
+        for term in plan.user:
+            user += term
+        system = noise_cpu_s * dt
+        for term in plan.system:
+            system += term
+        io_in = plan.io_in
+        io_out = noise_io * dt
+        for term in plan.io_out:
+            io_out += term
+        net_i = noise_net * dt
+        for term in plan.net_in:
+            net_i += term
+        net_o = noise_net * 0.6 * dt
+        for term in plan.net_out:
+            net_o += term
 
         capacity_s = vm.vcpus * dt
         busy = user + system
@@ -402,9 +608,9 @@ class SimulationEngine:
         c = vm.counters
         c.account_cpu(user_s=user, system_s=system, wio_s=wio, nice_s=0.0, idle_s=idle)
         c.account_io(blocks_in=io_in, blocks_out=io_out)
-        c.account_swap(kb_in=swap_i, kb_out=swap_o)
+        c.account_swap(kb_in=plan.swap_in, kb_out=plan.swap_out)
         c.account_net(bytes_in=net_i, bytes_out=net_o)
-        c.proc_run = int(round(runnable)) + (1 if rng.random() < 0.1 else 0)
-        c.proc_total = 60 + 3 * len(grants)
-        c.advance_time(dt, runnable + 0.05)
-        vm.update_memory_gauges(working_set_mb)
+        c.proc_run = int(round(plan.runnable)) + (1 if noise.random() < 0.1 else 0)
+        c.proc_total = plan.proc_total
+        c.advance_time(dt, plan.runnable + 0.05)
+        vm.update_memory_gauges(plan.working_set_mb)

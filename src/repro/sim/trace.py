@@ -61,8 +61,7 @@ class TraceRecorder:
     def _on_tick(self, now: float) -> None:
         for key in self._tracked_keys():
             inst = self.engine.instance(key)
-            total_work = inst.total_jobs() * inst.workload.solo_duration \
-                + inst.completions * 0.0  # completions already folded into total_jobs
+            total_work = inst.total_jobs() * inst.workload.solo_duration
             last = self._last_work.get(key)
             self._last_work[key] = total_work
             if last is None:

@@ -11,7 +11,15 @@ vmstat do it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+
+
+@lru_cache(maxsize=16)
+def load_decay(dt: float) -> tuple[float, float, float]:
+    """Per-step damping ``1 - exp(-dt/tau)`` of the 1/5/15-minute load averages."""
+    return tuple(1.0 - math.exp(-dt / tau) for tau in (60.0, 300.0, 900.0))
 
 
 @dataclass
@@ -28,14 +36,12 @@ class LoadAverages:
         Uses the kernel's first-order exponential damping
         ``load += (runnable - load) * (1 - exp(-dt/tau))``.
         """
-        import math
-
         if dt <= 0:
             raise ValueError("dt must be positive")
-        for attr, tau in (("one", 60.0), ("five", 300.0), ("fifteen", 900.0)):
-            load = getattr(self, attr)
-            alpha = 1.0 - math.exp(-dt / tau)
-            setattr(self, attr, load + (runnable - load) * alpha)
+        one, five, fifteen = load_decay(dt)
+        self.one += (runnable - self.one) * one
+        self.five += (runnable - self.five) * five
+        self.fifteen += (runnable - self.fifteen) * fifteen
 
 
 @dataclass
@@ -92,15 +98,16 @@ class NodeCounters:
         ValueError
             If any component is negative.
         """
-        for v, name in (
-            (user_s, "user_s"),
-            (system_s, "system_s"),
-            (wio_s, "wio_s"),
-            (nice_s, "nice_s"),
-            (idle_s, "idle_s"),
-        ):
-            if v < 0:
-                raise ValueError(f"negative CPU accounting: {name}={v}")
+        if user_s < 0 or system_s < 0 or wio_s < 0 or nice_s < 0 or idle_s < 0:
+            for v, name in (
+                (user_s, "user_s"),
+                (system_s, "system_s"),
+                (wio_s, "wio_s"),
+                (nice_s, "nice_s"),
+                (idle_s, "idle_s"),
+            ):
+                if v < 0:
+                    raise ValueError(f"negative CPU accounting: {name}={v}")
         self.cpu_user_s += user_s
         self.cpu_system_s += system_s
         self.cpu_wio_s += wio_s

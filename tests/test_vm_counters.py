@@ -31,6 +31,18 @@ class TestLoadAverages:
         with pytest.raises(ValueError):
             LoadAverages().update(1.0, 0.0)
 
+    @pytest.mark.parametrize("dt", [0.5, 1.0, 5.0, 60.0])
+    def test_matches_the_damping_formula_exactly(self, dt):
+        load = LoadAverages()
+        expected = {"one": 0.0, "five": 0.0, "fifteen": 0.0}
+        for step in range(200):
+            runnable = (step % 7) * 0.3
+            load.update(runnable, dt)
+            for attr, tau in (("one", 60.0), ("five", 300.0), ("fifteen", 900.0)):
+                prev = expected[attr]
+                expected[attr] = prev + (runnable - prev) * (1.0 - math.exp(-dt / tau))
+        assert (load.one, load.five, load.fifteen) == (expected["one"], expected["five"], expected["fifteen"])
+
 
 class TestNodeCounters:
     def test_cpu_accounting_accumulates(self):
@@ -43,6 +55,15 @@ class TestNodeCounters:
     def test_cpu_accounting_rejects_negative(self):
         with pytest.raises(ValueError):
             NodeCounters().account_cpu(user_s=-1.0, system_s=0, wio_s=0, nice_s=0, idle_s=0)
+
+    @pytest.mark.parametrize("name", ["user_s", "system_s", "wio_s", "nice_s", "idle_s"])
+    def test_cpu_accounting_names_the_negative_component(self, name):
+        c = NodeCounters()
+        split = dict(user_s=0.2, system_s=0.1, wio_s=0.0, nice_s=0.0, idle_s=0.7)
+        split[name] = -0.25
+        with pytest.raises(ValueError, match=f"^negative CPU accounting: {name}=-0.25$"):
+            c.account_cpu(**split)
+        assert c.total_cpu_s() == 0.0
 
     def test_io_and_swap_accounting(self):
         c = NodeCounters()
