@@ -12,9 +12,18 @@ fit time, and test sets are processed in chunks to bound peak memory at
 a few megabytes regardless of pool size.  The classifier is
 dtype-preserving: the pool is stored at the training scores' float dtype
 (float64 reference mode or float32 tolerance mode) and queries, distance
-buffers, and vote accumulators all follow it.  Tie-breaking is
-deterministic: among tied vote counts, the class with the smaller summed
-neighbor distance wins, then the smaller class code.
+buffers, and vote accumulators all follow it.
+
+Tie-breaking is deterministic at both levels.  Neighbors are ordered by
+**(squared distance, pool index)**: of two pool points at exactly the
+same squared distance, the one with the smaller index comes first —
+including at the k-th place, where it decides which of them is a
+neighbor at all.  Every neighbor search
+(:meth:`~KNeighborsClassifier.kneighbors`,
+:meth:`~KNeighborsClassifier.kneighbors_rows` and the batched serving
+kernel) selects through the one kernel :func:`select_k`, which gives
+that order by construction.  Among tied vote counts, the class with the
+smaller summed neighbor distance wins, then the smaller class code.
 """
 
 from __future__ import annotations
@@ -124,6 +133,78 @@ def rowwise_sq_distances(
     d2 += bb
     np.maximum(d2, 0.0, out=d2)
     return d2
+
+
+def select_k(
+    d2: np.ndarray,
+    k: int,
+    idx_out: np.ndarray | None = None,
+    dist_out: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The k nearest pool points per row of a squared-distance matrix.
+
+    dtype: preserve
+
+    *d2* has shape ``(c, n)`` with ``n >= k`` and is **consumed**: every
+    selected entry is overwritten with ``+inf``.  Writes the neighbor
+    pool indices into *idx_out* (``(c, k)`` int64) and their distances —
+    square roots of the selected squared distances, at *d2*'s dtype —
+    into *dist_out* (``(c, k)``), allocating either when omitted, and
+    returns ``(idx_out, dist_out)``.
+
+    Tie rule: neighbors are ordered by (squared distance, pool index),
+    so row *i* of the indices equals
+    ``np.argsort(d2[i], kind="stable")[:k]``.  The kernel runs k passes
+    of ``argmin`` along the rows, gathering each pass's winner and
+    masking it with ``+inf``; ``argmin`` returns the *first* minimum,
+    which is the tie rule.  Every step is row-wise, so selection is
+    batch-size-invariant, and the distances are the selected values
+    bit for bit.  A row whose selection holds a non-finite squared
+    distance (``inf``/``NaN`` from overflow on a huge but finite query)
+    is redone with the stable full sort, so it still returns k distinct
+    indices in ``argsort`` order.
+
+    Raises
+    ------
+    ValueError
+        If *d2* is not 2-D or *k* is not in ``[1, n]``.
+    """
+    if d2.ndim != 2:
+        raise ValueError(f"expected a (c, n) distance matrix, got shape {d2.shape}")
+    c, n = d2.shape
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} out of range for {n} pool points")
+    if idx_out is None:
+        idx_out = np.empty((c, k), dtype=np.int64)
+    if dist_out is None:
+        dist_out = np.empty((c, k), dtype=d2.dtype)
+    # Gather and mask through a flat view (one index per row, no 2-D
+    # fancy indexing); a non-contiguous input is copied first so the
+    # view aliases the matrix argmin reads.
+    if not d2.flags.c_contiguous:
+        d2 = np.ascontiguousarray(d2)
+    flat = d2.reshape(-1)
+    row_base = np.arange(0, c * n, n)
+    for j in range(k):
+        best = d2.argmin(axis=1)
+        idx_out[:, j] = best
+        pos = row_base + best
+        dist_out[:, j] = flat[pos]
+        flat[pos] = np.inf
+    bad = np.flatnonzero(~np.isfinite(dist_out).all(axis=1))
+    if bad.size:
+        sub = d2[bad]
+        # Undo the masks, last pass first: an index picked twice (only
+        # possible once the rest of a row is inf) keeps its first, true
+        # value.
+        sub_rows = np.arange(bad.size)
+        for j in range(k - 1, -1, -1):
+            sub[sub_rows, idx_out[bad, j]] = dist_out[bad, j]
+        order = np.argsort(sub, axis=1, kind="stable")[:, :k]
+        idx_out[bad] = order
+        dist_out[bad] = np.take_along_axis(sub, order, axis=1)
+    np.sqrt(dist_out, out=dist_out)
+    return idx_out, dist_out
 
 
 class KNeighborsClassifier:
@@ -274,10 +355,11 @@ class KNeighborsClassifier:
 
         *x* is row-per-sample, shape ``(m, q)``.  Returns
         ``(indices, distances)``, both of shape ``(m, k)``, neighbors
-        sorted by increasing distance.  Queries are routed through the
-        fitted pool's dtype (a float32 model computes float32 distances
-        instead of silently upcasting), and the ``‖b‖²`` term comes
-        from the per-fit cache rather than a per-batch reduction.
+        ordered by (squared distance, pool index) — the :func:`select_k`
+        tie rule.  Queries are routed through the fitted pool's dtype
+        (a float32 model computes float32 distances instead of silently
+        upcasting), and the ``‖b‖²`` term comes from the per-fit cache
+        rather than a per-batch reduction.
         """
         if self._x is None:
             raise RuntimeError("classifier not fitted")
@@ -288,22 +370,8 @@ class KNeighborsClassifier:
         for start in range(0, m, self.chunk_size):
             stop = min(start + self.chunk_size, m)
             d2 = pairwise_sq_distances(x[start:stop], self._x, b_sq_norms=self._sq_norms)
-            self._topk_into(d2, indices[start:stop], distances[start:stop])
+            select_k(d2, self.k, indices[start:stop], distances[start:stop])
         return indices, distances
-
-    def _topk_into(self, d2: np.ndarray, idx_out: np.ndarray, dist_out: np.ndarray) -> None:
-        """Select the k nearest per row of a squared-distance chunk.
-
-        *d2* has shape ``(c, n)``; writes the sorted neighbor indices
-        and (square-rooted) distances into the ``(c, k)`` output slices.
-        argpartition for the k smallest, then sort just those — every
-        step is row-wise, so selection is batch-size-invariant.
-        """
-        part = np.argpartition(d2, self.k - 1, axis=1)[:, : self.k]
-        part_d = np.take_along_axis(d2, part, axis=1)
-        order = np.argsort(part_d, axis=1, kind="stable")
-        idx_out[:] = np.take_along_axis(part, order, axis=1)
-        dist_out[:] = np.sqrt(np.take_along_axis(part_d, order, axis=1))
 
     def kneighbors_rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batch-size-invariant neighbor search (streaming-ingest kernel).
@@ -311,10 +379,10 @@ class KNeighborsClassifier:
         Same contract as :meth:`kneighbors` — ``(m, q)`` queries in,
         sorted ``(m, k)`` ``(indices, distances)`` out — but distances
         come from :func:`rowwise_sq_distances`, whose bits for row *i*
-        do not depend on how many rows share the batch.  The top-k
-        selection and the vote are row-wise already, so a drained batch
-        of announcements classifies bit-identically to the same
-        announcements one at a time.
+        do not depend on how many rows share the batch.  The
+        :func:`select_k` selection and the vote are row-wise already, so
+        a drained batch of announcements classifies bit-identically to
+        the same announcements one at a time.
         """
         if self._x is None:
             raise RuntimeError("classifier not fitted")
@@ -325,7 +393,7 @@ class KNeighborsClassifier:
         for start in range(0, m, self.chunk_size):
             stop = min(start + self.chunk_size, m)
             d2 = rowwise_sq_distances(x[start:stop], self._x, b_sq_norms=self._sq_norms)
-            self._topk_into(d2, indices[start:stop], distances[start:stop])
+            select_k(d2, self.k, indices[start:stop], distances[start:stop])
         return indices, distances
 
     def predict(self, x: np.ndarray) -> np.ndarray:

@@ -475,34 +475,57 @@ class OnlineClassifier:
 
         Vectorized equivalent of calling
         :meth:`NodeClassificationState.record` on each row in timeline
-        order: class counts via one bincount per node, and the streak as
-        the trailing constant run — extended by the previous streak when
-        the whole slice is one class and it matches the node's current
-        class (exactly what the sequential fold would have done).
+        order.  One stable sort by node id makes each node's rows a
+        contiguous slice in timeline order; one bincount over
+        ``(slice, code)`` gives every node's class counts; and the
+        streak is the slice's trailing constant run, read from a
+        running maximum of run starts — extended by the previous streak
+        when the whole slice is one run of the node's current class
+        (exactly what the sequential fold would have done).  The loop
+        left only writes the results into each node's state.  The batch
+        is non-empty: :meth:`_classify_drain` returns before the fold
+        when nothing survives the allow-list.
         """
-        for node_id in np.unique(node_ids):
-            sel = node_ids == node_id
-            node_codes = codes[sel]
-            node_ts = timestamps[sel]
-            node = nodes[int(node_id)]
+        n = node_ids.shape[0]
+        order = np.argsort(node_ids, kind="stable")
+        ids = node_ids[order]
+        codes = codes[order]
+        new_node = np.empty(n, dtype=bool)
+        new_node[0] = True
+        np.not_equal(ids[1:], ids[:-1], out=new_node[1:])
+        starts = np.flatnonzero(new_node)
+        ends = np.append(starts[1:], n) - 1
+        sizes = ends - starts + 1
+        n_classes = len(ALL_CLASSES)
+        slot = np.repeat(np.arange(starts.shape[0]), sizes)
+        counts = np.bincount(slot * n_classes + codes, minlength=starts.shape[0] * n_classes)
+        counts = counts.reshape(starts.shape[0], n_classes)
+        run_start = new_node.copy()
+        run_start[1:] |= codes[1:] != codes[:-1]
+        last_run_start = np.maximum.accumulate(np.where(run_start, np.arange(n), 0))[ends]
+        for node_id, node_counts, size, last, last_ts, trailing, whole in zip(
+            ids[starts].tolist(),
+            counts,
+            sizes.tolist(),
+            codes[ends].tolist(),
+            timestamps[order[ends]].astype(np.float64).tolist(),
+            (ends - last_run_start + 1).tolist(),
+            (last_run_start == starts).tolist(),
+        ):
+            node = nodes[node_id]
             state = self._states.get(node)
             if state is None:
                 state = NodeClassificationState(node=node)
                 self._states[node] = state
-            state.class_counts += np.bincount(node_codes, minlength=len(ALL_CLASSES))
-            count = int(node_codes.shape[0])
-            state.snapshots_seen += count
-            state.last_timestamp = float(node_ts[-1])
-            last = SnapshotClass(int(node_codes[-1]))
-            changes = np.flatnonzero(node_codes[:-1] != node_codes[1:])
-            if changes.size:
-                streak = count - 1 - int(changes[-1])
-            elif state.current_class is last:
-                streak = state.streak + count
+            state.class_counts += node_counts
+            state.snapshots_seen += size
+            state.last_timestamp = last_ts
+            cls = ALL_CLASSES[last]
+            if whole and state.current_class is cls:
+                state.streak += size
             else:
-                streak = count
-            state.current_class = last
-            state.streak = streak
+                state.current_class = cls
+                state.streak = trailing
 
     # ------------------------------------------------------------------
     # queries

@@ -39,6 +39,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ..core.knn import select_k
 from ..core.labels import ALL_CLASSES, ClassComposition, SnapshotClass, application_category
 from ..core.pipeline import ApplicationClassifier, ClassificationResult, StageTimings
 from ..errors import EmptySeriesError, NotTrainedError
@@ -282,9 +283,11 @@ class BatchClassifier:
         # longer than chunk_size; everything downstream — the in-place
         # distance assembly ((−2ab + aa) + bb ≡ (aa − 2ab) + bb bitwise,
         # because IEEE addition commutes and negation is exact), clip,
-        # top-k selection, sort, and the shared vote() — is
-        # row-independent and runs once on the stacked rows.  The pool
-        # norms ``‖b‖²`` come from the per-fit cache on the kNN model.
+        # the shared select_k top-k kernel (the same one kneighbors and
+        # kneighbors_rows call, with its (squared distance, pool index)
+        # tie rule), and the shared vote() — is row-independent and runs
+        # once on the stacked rows.  The pool norms ``‖b‖²`` come from
+        # the per-fit cache on the kNN model.
         t = clock()
         pool = knn.training_points
         pool_t = pool.T
@@ -302,12 +305,7 @@ class BatchClassifier:
         d2 += aa
         d2 += bb
         np.maximum(d2, 0.0, out=d2)
-        k = knn.k
-        part = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        part_d = np.take_along_axis(d2, part, axis=1)
-        order = np.argsort(part_d, axis=1, kind="stable")
-        indices = np.take_along_axis(part, order, axis=1)
-        distances = np.sqrt(np.take_along_axis(part_d, order, axis=1))
+        indices, distances = select_k(d2, knn.k)
         class_vector_all = knn.vote(indices, distances)
         classify_s = clock() - t
 

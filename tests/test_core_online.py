@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.labels import SnapshotClass
 from repro.core.online import NodeClassificationState, OnlineClassifier
@@ -235,3 +237,93 @@ class TestAttachDetachLifecycle:
         online.detach()
         online.attach()
         assert len(calls) == 2  # re-attach recomputes exactly once
+
+
+# ----------------------------------------------------------------------
+# Vectorized drained-batch fan-back ≡ the sequential record() fold.
+# ----------------------------------------------------------------------
+NAMES = ("n0", "n1", "n2", "n3", "n4", "n5")
+
+
+@st.composite
+def drain_streams(draw):
+    """Batches of (node, code) rows.  Each batch has its own node tuple
+    (a shuffled subset of NAMES, so ids are unsorted and nodes appear
+    mid-stream); codes come from a small alphabet so streaks run long
+    and often continue across batches."""
+    batches = []
+    for _ in range(draw(st.integers(1, 6))):
+        nodes = tuple(draw(st.permutations(NAMES))[: draw(st.integers(1, len(NAMES)))])
+        rows = draw(
+            st.lists(
+                st.tuples(st.integers(0, len(nodes) - 1), st.sampled_from([0, 0, 2, 2, 3])),
+                min_size=1,
+                max_size=24,
+            )
+        )
+        batches.append((nodes, rows))
+    return batches
+
+
+def fold_both_ways(online, batches):
+    """Feed *batches* to ``_record_codes``; return the sequential-fold twin."""
+    reference: dict[str, NodeClassificationState] = {}
+    t = 0.0
+    for nodes, rows in batches:
+        node_ids = np.array([r[0] for r in rows], dtype=np.int64)
+        codes = np.array([r[1] for r in rows], dtype=np.int64)
+        timestamps = t + np.arange(len(rows), dtype=np.float64)
+        t += len(rows)
+        online._record_codes(nodes, node_ids, timestamps, codes)
+        for node_id, code, ts in zip(node_ids.tolist(), codes.tolist(), timestamps.tolist()):
+            name = nodes[node_id]
+            state = reference.setdefault(name, NodeClassificationState(node=name))
+            state.record(SnapshotClass(code), ts)
+    return reference
+
+
+def assert_same_states(online, reference):
+    assert online.nodes() == sorted(reference)
+    for name, want in reference.items():
+        got = online.state(name)
+        assert np.array_equal(got.class_counts, want.class_counts), name
+        assert got.snapshots_seen == want.snapshots_seen, name
+        assert got.current_class is want.current_class, name
+        assert got.streak == want.streak, name
+        assert got.last_timestamp == want.last_timestamp, name
+        assert type(got.last_timestamp) is float
+
+
+class TestRecordCodesFold:
+    @given(batches=drain_streams())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sequential_fold(self, trained, batches):
+        online = OnlineClassifier(trained, MulticastChannel())
+        assert_same_states(online, fold_both_ways(online, batches))
+
+    def test_named_cases(self, trained):
+        cpu, io = int(SnapshotClass.CPU), int(SnapshotClass.IO)
+        batches = [
+            # ids do not follow name order and rows interleave:
+            # n1 ← IO IO, n0 ← CPU CPU, n2 ← a single IO row
+            (("n1", "n0", "n2"), [(1, cpu), (0, io), (1, cpu), (2, io), (0, io)]),
+            # n0's slice breaks its CPU streak; n1's whole slice continues
+            # its IO streak; n3 is first seen mid-stream
+            (("n0", "n1", "n3"), [(0, io), (1, io), (2, cpu), (0, io), (1, io)]),
+            # n1 continues again; n0's whole slice is one run of a class
+            # other than its current one; n3's slice changes class inside
+            (("n3", "n1", "n0"), [(1, io), (0, io), (2, cpu), (1, io), (2, cpu), (0, cpu)]),
+        ]
+        online = OnlineClassifier(trained, MulticastChannel())
+        reference = fold_both_ways(online, batches)
+        assert_same_states(online, reference)
+        assert (online.state("n0").current_class, online.state("n0").streak) == (
+            SnapshotClass.CPU,
+            2,
+        )
+        assert online.state("n1").streak == 6
+        assert (online.state("n3").current_class, online.state("n3").streak) == (
+            SnapshotClass.CPU,
+            1,
+        )
+        assert online.state("n2").snapshots_seen == 1
