@@ -17,7 +17,7 @@ from .feature_selection import (
     select_features,
 )
 from .incremental import IncrementalPCA
-from .knn import DEFAULT_CHUNK_SIZE, KNeighborsClassifier, pairwise_sq_distances
+from .knn import DISTANCE_BUFFER_BYTES, KNeighborsClassifier, pairwise_sq_distances
 from .labels import (
     ALL_CLASSES,
     TABLE3_ORDER,
@@ -51,7 +51,7 @@ __all__ = [
     "pearson_redundancy_matrix",
     "select_features",
     "IncrementalPCA",
-    "DEFAULT_CHUNK_SIZE",
+    "DISTANCE_BUFFER_BYTES",
     "KNeighborsClassifier",
     "pairwise_sq_distances",
     "ALL_CLASSES",

@@ -47,10 +47,10 @@ class ClassifierConfig:
         Neighbors in the k-NN vote (positive and odd).
     compute_dtype:
         Dtype of the numeric pipeline, ``"float64"`` (default) or
-        ``"float32"``.  Float64 is the bit-identical reference mode;
-        float32 is the documented tolerance mode (fused single-GEMM
-        projection, all-float32 buffers, ≥99% label agreement on the
-        Table-2 corpus — see ``docs/API.md`` § Numeric modes).  Also
+        ``"float32"``.  Both run the same kernels; float64 is the
+        reference mode, float32 the documented tolerance mode
+        (all-float32 buffers, ≥99% label agreement on the Table-2
+        corpus — see ``docs/API.md`` § Numeric modes).  Also
         the declared policy the ``repro-qa numerics`` analysis holds
         the kernels to.  Participates in equality/hashing: models
         fitted at different precisions must not share a cache slot.

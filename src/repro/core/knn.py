@@ -5,25 +5,26 @@ its *k* geometrically nearest training points (the paper uses ``k = 3``
 and requires *k* odd).  Distances are Euclidean in the (PCA-reduced)
 feature space.
 
-Implementation follows the HPC guides: the distance matrix is computed
-with the vectorized ``‖a−b‖² = ‖a‖² − 2a·b + ‖b‖²`` expansion (one GEMM
-instead of Python loops) with the pool-side ``‖b‖²`` term cached once at
-fit time, and test sets are processed in chunks to bound peak memory at
-a few megabytes regardless of pool size.  The classifier is
-dtype-preserving: the pool is stored at the training scores' float dtype
-(float64 reference mode or float32 tolerance mode) and queries, distance
-buffers, and vote accumulators all follow it.
+One distance kernel, :func:`pairwise_sq_distances`, serves every
+neighbor search.  It expands ``‖a−b‖² = ‖a‖² − 2a·b + ‖b‖²`` with the
+``a·bᵀ`` term accumulated feature column by feature column from
+elementwise outer products — no GEMM — so row *i*'s distances are
+bit-identical whatever the batch size and whichever BLAS is installed.
+The pool-side operands ``‖b‖²`` and ``−2·bᵀ`` are computed once at fit
+time, and queries are processed in chunks sized by
+:data:`DISTANCE_BUFFER_BYTES` so each distance block stays in cache.
+The classifier is dtype-preserving: the pool is stored at the training
+scores' float dtype (float64 or float32) and queries, distance buffers,
+and vote accumulators all follow it.
 
 Tie-breaking is deterministic at both levels.  Neighbors are ordered by
 **(squared distance, pool index)**: of two pool points at exactly the
 same squared distance, the one with the smaller index comes first —
 including at the k-th place, where it decides which of them is a
-neighbor at all.  Every neighbor search
-(:meth:`~KNeighborsClassifier.kneighbors`,
-:meth:`~KNeighborsClassifier.kneighbors_rows` and the batched serving
-kernel) selects through the one kernel :func:`select_k`, which gives
-that order by construction.  Among tied vote counts, the class with the
-smaller summed neighbor distance wins, then the smaller class code.
+neighbor at all.  :meth:`~KNeighborsClassifier.kneighbors` selects
+through :func:`select_k`, which gives that order by construction.
+Among tied vote counts, the class with the smaller summed neighbor
+distance wins, then the smaller class code.
 """
 
 from __future__ import annotations
@@ -32,12 +33,28 @@ import numpy as np
 
 from .preprocessing import _check_matrix
 
-#: Rows of the test chunk processed per GEMM (bounds the distance buffer).
-DEFAULT_CHUNK_SIZE: int = 2048
+__all__ = [
+    "DISTANCE_BUFFER_BYTES",
+    "KNeighborsClassifier",
+    "pairwise_sq_distances",
+    "rowwise_sq_distances",
+    "select_k",
+]
+
+#: Bytes of one chunk's ``(rows, pool size)`` distance block; the rows
+#: per chunk are ``DISTANCE_BUFFER_BYTES // (pool size × itemsize)`` —
+#: 200 float64 or 400 float32 rows on the paper's 327-point pool, where
+#: a sweep from 128 KiB to 1 MiB put 512 KiB at or near the fastest.
+DISTANCE_BUFFER_BYTES: int = 524_288
 
 
 def pairwise_sq_distances(
-    a: np.ndarray, b: np.ndarray, b_sq_norms: np.ndarray | None = None
+    a: np.ndarray,
+    b: np.ndarray,
+    b_sq_norms: np.ndarray | None = None,
+    *,
+    b_neg2_t: np.ndarray | None = None,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Squared Euclidean distances between rows of *a* and rows of *b*.
 
@@ -45,94 +62,69 @@ def pairwise_sq_distances(
 
     Both inputs are row-per-sample (the transpose of the paper's ``q×m``
     column convention); returns a matrix of shape ``(len(a), len(b))``
-    in the inputs' (promoted) float dtype.  The in-place
-    ``(−2ab) + aa + bb`` assembly cancels catastrophically when a query
-    coincides with a pool point — the result can come out as a tiny
-    *negative* squared distance (≈ −ε·‖x‖², far worse in float32),
-    which would poison ``1/d`` weighted votes and tie ordering — so the
-    matrix is clamped at 0.0 in place before returning.
+    in the inputs' (promoted) float dtype.  The ``−2·a·bᵀ`` term is
+    accumulated feature column by feature column, each column one
+    elementwise outer product ``a[:, j] ⊗ (−2·b[:, j])``, then ``‖a‖²``
+    and ``‖b‖²`` are added in place.  Every step is elementwise with a
+    fixed order over the ``q`` feature columns, so row *i*'s distances
+    are bit-identical for **any** batch size and on any BLAS (a GEMM's
+    kernel, and so its rounding, depends on the operand shapes).  ``q``
+    is the PCA dimension (2 for the paper's configuration), so the
+    column loop is two fused passes, not a scalar loop.
 
-    *b_sq_norms* optionally supplies precomputed per-row squared norms
-    of *b* (``np.einsum("ij,ij->i", b, b)``): the k-NN hot path hands in
-    the norms cached at fit time so repeated query batches stop
-    recomputing ``‖b‖²`` over the whole training pool.  The cached
-    values are exactly the ones this function would compute, so the
-    output is bit-identical either way.
+    The expansion cancels catastrophically when a query coincides with
+    a pool point — the result can come out as a tiny *negative* squared
+    distance (≈ −ε·‖x‖², far worse in float32), which would poison
+    ``1/d`` weighted votes and tie ordering — so the matrix is clamped
+    at 0.0 in place before returning.
+
+    *b_sq_norms* optionally supplies the per-row squared norms of *b*
+    (``np.einsum("ij,ij->i", b, b)``) and *b_neg2_t* the contiguous
+    ``−2·bᵀ``: the fitted k-NN hands in both, cached at fit time, and
+    then the inputs are taken as already validated — the pool at fit,
+    the queries once per search.  Without *b_neg2_t* both inputs are
+    checked here.  The cached operands are exactly the values computed
+    here, so either way gives the same bits.
+
+    *work* optionally supplies a ``(2, rows, len(b))`` buffer with
+    ``rows >= len(a)`` for the result and its scratch; the result is
+    then ``work[0, :len(a)]``.  :meth:`KNeighborsClassifier.kneighbors`
+    passes one buffer to all of its chunks: a fresh pair of blocks per
+    chunk, freed together, can exceed glibc's trim threshold, and then
+    every chunk page-faults its buffers back in.
     """
-    a = _check_matrix(a, dtype=None)
-    b = _check_matrix(b, dtype=None)
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
-    aa = np.einsum("ij,ij->i", a, a)[:, None]
+    if b_neg2_t is None:
+        a = _check_matrix(a, dtype=None)
+        b = _check_matrix(b, dtype=None)
+        if a.shape[1] != b.shape[1]:
+            raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+        b_neg2_t = np.ascontiguousarray(b.T * -2.0)
     if b_sq_norms is None:
-        bb = np.einsum("ij,ij->i", b, b)[None, :]
+        bb = np.einsum("ij,ij->i", b, b)
     else:
         bb = np.asarray(b_sq_norms)
         if bb.shape != (b.shape[0],):
             raise ValueError(
                 f"b_sq_norms shape {bb.shape} does not match {b.shape[0]} pool rows"
             )
-        bb = bb[None, :]
-    # Assemble in place on the GEMM output — no full-size temporaries.
-    # Bit-identical to ``aa - 2.0 * ab + bb``: negation is exact, so
-    # ``ab *= -2.0`` equals ``-(2.0 * ab)``, and IEEE addition commutes.
-    d2 = a @ b.T
-    d2 *= -2.0
-    d2 += aa
-    d2 += bb
-    np.maximum(d2, 0.0, out=d2)
-    return d2
-
-
-def rowwise_sq_distances(
-    a: np.ndarray, b: np.ndarray, b_sq_norms: np.ndarray | None = None
-) -> np.ndarray:
-    """Batch-size-invariant variant of :func:`pairwise_sq_distances`.
-
-    dtype: preserve
-
-    Same ``(len(a), len(b))`` squared-distance matrix and the same
-    in-place ``(−2ab) + aa + bb`` assembly and zero clamp, but the
-    ``a·bᵀ`` term is accumulated feature column by feature column with
-    broadcast multiplies instead of one GEMM.  BLAS selects different
-    GEMM kernels by operand shape, so ``pairwise_sq_distances`` on a
-    ``(1, q)`` query and on row *i* of an ``(m, q)`` stack may differ in
-    the last bits; here every operation is elementwise with a fixed
-    accumulation order over the ``q`` feature columns, so row *i*'s
-    distances are bit-identical for **any** batch size.  This is the
-    streaming-ingest distance kernel: the per-announcement path and the
-    drained-batch path both run it, which is what makes their results
-    bit-identical by construction.  ``q`` is the PCA dimension (2 for
-    the paper's configuration), so the column loop is two fused passes,
-    not a scalar loop.
-    """
-    a = _check_matrix(a, dtype=None)
-    b = _check_matrix(b, dtype=None)
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
     aa = np.einsum("ij,ij->i", a, a)[:, None]
-    if b_sq_norms is None:
-        bb = np.einsum("ij,ij->i", b, b)[None, :]
-    else:
-        bb = np.asarray(b_sq_norms)
-        if bb.shape != (b.shape[0],):
-            raise ValueError(
-                f"b_sq_norms shape {bb.shape} does not match {b.shape[0]} pool rows"
-            )
-        bb = bb[None, :]
-    q = a.shape[1]
-    # ab[i, t] = Σ_j a[i, j]·b[t, j], accumulated j = 0, 1, … with one
-    # preallocated scratch — fixed order, no GEMM, no per-column buffer.
-    d2 = np.multiply(a[:, 0][:, None], b[:, 0][None, :])
-    scratch = np.empty_like(d2)
-    for j in range(1, q):
-        np.multiply(a[:, j][:, None], b[:, j][None, :], out=scratch)
+    if work is None:
+        work = np.empty((2, a.shape[0], b_neg2_t.shape[1]), dtype=np.result_type(a, b_neg2_t))
+    d2, scratch = work[0, : a.shape[0]], work[1, : a.shape[0]]
+    # −2ab[i, t] = Σ_j a[i, j]·(−2b[t, j]), accumulated j = 0, 1, … —
+    # fixed order, one IEEE product per entry.
+    np.einsum("i,j->ij", a[:, 0], b_neg2_t[0], out=d2)
+    for j in range(1, a.shape[1]):
+        np.einsum("i,j->ij", a[:, j], b_neg2_t[j], out=scratch)
         d2 += scratch
-    d2 *= -2.0
     d2 += aa
     d2 += bb
     np.maximum(d2, 0.0, out=d2)
     return d2
+
+
+#: The 1.2 name of :func:`pairwise_sq_distances`, kept as an alias.
+rowwise_sq_distances = pairwise_sq_distances
 
 
 def select_k(
@@ -216,7 +208,9 @@ class KNeighborsClassifier:
         Number of neighbors; must be a positive odd number (paper §3:
         "the votes of k (an odd number) nearest neighbors").
     chunk_size:
-        Test rows per distance-matrix block.
+        Test rows per distance-matrix block.  ``None`` (the default)
+        derives it from :data:`DISTANCE_BUFFER_BYTES` and the fitted
+        pool's size and dtype; an explicit value overrides that.
     weighted:
         With ``True``, votes are weighted by inverse distance (closer
         neighbors count more) instead of the paper's plain majority —
@@ -224,13 +218,13 @@ class KNeighborsClassifier:
     """
 
     def __init__(
-        self, k: int = 3, chunk_size: int = DEFAULT_CHUNK_SIZE, weighted: bool = False
+        self, k: int = 3, chunk_size: int | None = None, weighted: bool = False
     ) -> None:
         if k < 1:
             raise ValueError("k must be positive")
         if k % 2 == 0:
             raise ValueError("k must be odd (majority vote)")
-        if chunk_size < 1:
+        if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be positive")
         self.k = k
         self.chunk_size = chunk_size
@@ -239,6 +233,7 @@ class KNeighborsClassifier:
         self._y: np.ndarray | None = None
         self._classes: np.ndarray | None = None
         self._sq_norms: np.ndarray | None = None
+        self._neg2_t: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     # training
@@ -251,9 +246,10 @@ class KNeighborsClassifier:
         class-code vector.  The pool is stored at *x*'s float dtype
         (float64 reference mode or float32 tolerance mode), and every
         inference buffer follows the fitted dtype from then on.  The
-        per-row squared norms ``‖b‖²`` of the pool — the constant term
-        of the distance expansion — are computed once here, so
-        :meth:`kneighbors` stops recomputing them per query batch.
+        pool is validated here, once, and the pool-side operands of the
+        distance expansion — the per-row squared norms ``‖b‖²`` and the
+        contiguous ``−2·bᵀ`` — are computed once, so :meth:`kneighbors`
+        neither re-checks nor recomputes them per query chunk.
 
         Raises
         ------
@@ -271,6 +267,7 @@ class KNeighborsClassifier:
         self._y = y.copy()
         self._classes = np.unique(y)
         self._sq_norms = np.einsum("ij,ij->i", self._x, self._x)
+        self._neg2_t = np.ascontiguousarray(self._x.T * -2.0)
         return self
 
     @property
@@ -293,7 +290,7 @@ class KNeighborsClassifier:
 
     @property
     def training_points(self) -> np.ndarray:
-        """The fitted ``(n, q)`` training pool (the serving kernel's read view).
+        """The fitted ``(n, q)`` training pool (a read view).
 
         Raises
         ------
@@ -322,8 +319,8 @@ class KNeighborsClassifier:
         """Per-fit cached ``‖b‖²`` of the training pool, shape ``(n,)``.
 
         The constant term of the ``‖a‖² + ‖b‖² − 2a·bᵀ`` distance
-        expansion, computed once in :meth:`fit`; the batched serving
-        kernel reads it here instead of re-reducing the pool per call.
+        expansion, computed once in :meth:`fit` and handed to every
+        :func:`pairwise_sq_distances` call of :meth:`kneighbors`.
 
         Raises
         ------
@@ -358,71 +355,57 @@ class KNeighborsClassifier:
         ordered by (squared distance, pool index) — the :func:`select_k`
         tie rule.  Queries are routed through the fitted pool's dtype
         (a float32 model computes float32 distances instead of silently
-        upcasting), and the ``‖b‖²`` term comes from the per-fit cache
-        rather than a per-batch reduction.
+        upcasting) and checked once here — finite, 2-D, matching width —
+        before the chunked :func:`pairwise_sq_distances` calls reuse the
+        fit-time pool operands.  Every step is row-wise, so row *i*'s
+        neighbors are bit-identical whether it arrives alone or inside a
+        batch of any size.
+
+        Raises
+        ------
+        RuntimeError
+            Before fitting.
+        ValueError
+            If *x* is not a finite ``(m, q)`` matrix of the pool's width.
         """
         if self._x is None:
             raise RuntimeError("classifier not fitted")
         x = _check_matrix(x, dtype=self._x.dtype)
+        if x.shape[1] != self._x.shape[1]:
+            raise ValueError(f"dimension mismatch: {x.shape[1]} vs {self._x.shape[1]}")
         m = x.shape[0]
         indices = np.empty((m, self.k), dtype=np.int64)
         distances = np.empty((m, self.k), dtype=self._x.dtype)
-        for start in range(0, m, self.chunk_size):
-            stop = min(start + self.chunk_size, m)
-            d2 = pairwise_sq_distances(x[start:stop], self._x, b_sq_norms=self._sq_norms)
+        n = self._x.shape[0]
+        step = self.chunk_size or max(1, DISTANCE_BUFFER_BYTES // (n * self._x.dtype.itemsize))
+        work = np.empty((2, min(step, m), n), dtype=self._x.dtype)
+        for start in range(0, m, step):
+            stop = min(start + step, m)
+            d2 = pairwise_sq_distances(
+                x[start:stop], self._x, self._sq_norms, b_neg2_t=self._neg2_t, work=work
+            )
             select_k(d2, self.k, indices[start:stop], distances[start:stop])
         return indices, distances
 
-    def kneighbors_rows(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Batch-size-invariant neighbor search (streaming-ingest kernel).
-
-        Same contract as :meth:`kneighbors` — ``(m, q)`` queries in,
-        sorted ``(m, k)`` ``(indices, distances)`` out — but distances
-        come from :func:`rowwise_sq_distances`, whose bits for row *i*
-        do not depend on how many rows share the batch.  The
-        :func:`select_k` selection and the vote are row-wise already, so
-        a drained batch of announcements classifies bit-identically to
-        the same announcements one at a time.
-        """
-        if self._x is None:
-            raise RuntimeError("classifier not fitted")
-        x = _check_matrix(x, dtype=self._x.dtype)
-        m = x.shape[0]
-        indices = np.empty((m, self.k), dtype=np.int64)
-        distances = np.empty((m, self.k), dtype=self._x.dtype)
-        for start in range(0, m, self.chunk_size):
-            stop = min(start + self.chunk_size, m)
-            d2 = rowwise_sq_distances(x[start:stop], self._x, b_sq_norms=self._sq_norms)
-            select_k(d2, self.k, indices[start:stop], distances[start:stop])
-        return indices, distances
+    #: The 1.2 name of :meth:`kneighbors`, kept as an alias.
+    kneighbors_rows = kneighbors
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Class codes for each test row (majority vote, deterministic ties).
 
         *x* is row-per-sample, shape ``(m, q)``; returns the length-``m``
-        class vector ``C`` (the paper's ``C(1×m)`` stage output).
+        class vector ``C`` (the paper's ``C(1×m)`` stage output).  Row
+        *i*'s class does not depend on the batch size.
         """
         indices, distances = self.kneighbors(x)
-        return self.vote(indices, distances)
-
-    def predict_rows(self, x: np.ndarray) -> np.ndarray:
-        """Batch-size-invariant :meth:`predict` (streaming-ingest kernel).
-
-        *x* is row-per-sample, shape ``(m, q)``; returns the length-``m``
-        class vector.  Routes through :meth:`kneighbors_rows` and the
-        shared :meth:`vote`, so row *i*'s class is bit-identical whether
-        it arrives alone or inside a drained batch of any size.
-        """
-        indices, distances = self.kneighbors_rows(x)
         return self.vote(indices, distances)
 
     def vote(self, indices: np.ndarray, distances: np.ndarray) -> np.ndarray:
         """Class codes from precomputed ``(m, k)`` neighbor indices/distances.
 
         This is the voting half of :meth:`predict`, split out so callers
-        that compute neighbors differently (notably the batched serving
-        kernel, which stacks many runs into one neighbor search) vote
-        through exactly the same code path.  Every voting rule —
+        that already hold neighbors vote through exactly the same code
+        path.  Every voting rule —
         unweighted majority, the weighted ablation, and the
         deterministic tie-breaks — operates row-independently, so
         voting on stacked rows is bit-identical to voting per run.

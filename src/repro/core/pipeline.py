@@ -16,7 +16,6 @@ End-to-end dimension reduction and classification::
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -107,27 +106,22 @@ class ApplicationClassifier:
     k:
         Neighbors in the vote (default 3, odd required).
     compute_dtype:
-        ``"float64"`` (default) — the bit-identical reference mode,
-        byte-for-byte reproducible against the pre-tolerance-mode
-        pipeline — or ``"float32"`` — the documented tolerance mode:
-        every fitted parameter, intermediate buffer, and GEMM on the
-        classification path runs at float32, and the per-snapshot
-        normalize→center→project stages collapse into one fused GEMM
-        (+bias) against the folded projection built at train time.
+        ``"float64"`` (default) — the reference mode — or ``"float32"``
+        — the documented tolerance mode.  The dtype only sets the type
+        of every fitted parameter and buffer: both modes run the same
+        kernels (:meth:`project`, then the k-NN search), and in each
+        mode every classification path is bit-identical to every other
+        at any batch size.
     clock:
         Injected clock for the §5.3 stage-timing accounting (defaults to
         :data:`DEFAULT_CLOCK`); pass a fake for deterministic timings.
 
-    All tuning parameters are keyword-only; passing them positionally is
-    deprecated (one-release shim, see ``docs/API.md``).
+    All tuning parameters are keyword-only.
     """
-
-    #: Positional-shim order of the pre-1.1 signature.
-    _TUNING_PARAMS = ("selector", "n_components", "min_variance_fraction", "k", "clock")
 
     def __init__(
         self,
-        *args: object,
+        *,
         selector: MetricSelector | None = None,
         n_components: int | None = 2,
         min_variance_fraction: float | None = None,
@@ -135,25 +129,6 @@ class ApplicationClassifier:
         compute_dtype: str = "float64",
         clock: Clock | None = None,
     ) -> None:
-        if args:
-            warnings.warn(
-                "passing ApplicationClassifier tuning parameters positionally "
-                "is deprecated and will be removed in the next release; use "
-                "keyword arguments (selector=..., n_components=..., ...)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if len(args) > len(self._TUNING_PARAMS):
-                raise TypeError(
-                    f"ApplicationClassifier takes at most "
-                    f"{len(self._TUNING_PARAMS)} tuning arguments, got {len(args)}"
-                )
-            shim = dict(zip(self._TUNING_PARAMS, args))
-            selector = shim.get("selector", selector)
-            n_components = shim.get("n_components", n_components)
-            min_variance_fraction = shim.get("min_variance_fraction", min_variance_fraction)
-            k = shim.get("k", k)
-            clock = shim.get("clock", clock)
         if compute_dtype not in ("float64", "float32"):
             raise ValueError(
                 f"compute_dtype must be 'float64' or 'float32', got {compute_dtype!r}"
@@ -172,8 +147,8 @@ class ApplicationClassifier:
         self.training_scores_: np.ndarray | None = None
         self.training_labels_: np.ndarray | None = None
         # Folded normalize→center→project operands, built at train time:
-        # scores == raw_selected @ fused_weights_ + fused_bias_ (the
-        # tolerance mode's single-GEMM classification kernel).
+        # scores == raw_selected @ fused_weights_ + fused_bias_, the
+        # projection every classification path runs (see project()).
         self.fused_weights_: np.ndarray | None = None
         self.fused_bias_: np.ndarray | None = None
         # Cached observability instrument handles, keyed by
@@ -187,9 +162,8 @@ class ApplicationClassifier:
         The config is the sanctioned way to carry tuning parameters
         through the serving layer (it doubles as the model-cache key).
         Both numeric modes construct here: ``compute_dtype="float64"``
-        is the bit-identical reference pipeline and
-        ``compute_dtype="float32"`` the tolerance mode (see
-        ``docs/API.md`` § Numeric modes).
+        is the reference pipeline and ``compute_dtype="float32"`` the
+        tolerance mode (see ``docs/API.md`` § Numeric modes).
         """
         return cls(
             selector=config.selector(),
@@ -262,12 +236,10 @@ class ApplicationClassifier:
         and ``W`` the ``(q, p)`` component matrix, the staged pipeline
         computes ``((x − μn)/σn − μp) @ Wᵀ``.  Distributing gives the
         affine form ``x @ (Wᵀ/σn) + c`` with
-        ``c = −(μn/σn + μp) @ Wᵀ`` — one GEMM plus a bias broadcast per
-        classification instead of three elementwise passes and a GEMM.
-        Built in both modes (the operands carry the compute dtype); the
-        classification paths use it in the float32 tolerance mode, while
-        the float64 reference mode keeps the staged kernels so its
-        outputs stay bit-identical to the pre-fusion pipeline.
+        ``c = −(μn/σn + μp) @ Wᵀ`` — one ``(p, q)`` projection plus a
+        bias per classification instead of three elementwise passes and
+        a projection.  The operands carry the compute dtype; rebuild
+        them after replacing the fitted preprocessor or PCA.
         """
         normalizer = self.preprocessor.normalizer
         components_t = self.pca.components_.T
@@ -338,32 +310,20 @@ class ApplicationClassifier:
         # overhead budget, five histogram observations do not.)  While
         # obs is disabled (the default) the span is a shared no-op and
         # ``timed`` is False, so the clock-call sequence is exactly the
-        # classic four stage pairs.
-        # The float32 tolerance mode swaps the staged normalize→center→
-        # project stages for the fused single-GEMM projection built at
-        # train time: the "normalize" slot becomes the one float32
-        # downcast and the "pca" slot the fused GEMM (+bias).  The
-        # float64 reference mode keeps the staged kernels bit-identical
-        # to the pre-fusion pipeline.
-        tolerance = self.compute_dtype != "float64"
+        # classic four stage pairs.  Normalization is folded into the
+        # fused projection, so the "normalize" slot is the cast to the
+        # compute dtype and the "pca" slot is :meth:`project`.
         timed = obs_enabled()
         with obs_span("pipeline.classify", clock=clock):
             t0 = t = clock()
             selected = self.preprocessor.selector.transform_series(series)
             t_filter = clock() if timed else 0.0
-            if tolerance:
-                features = selected.astype(self._dtype)
-            else:
-                features = self.preprocessor.normalizer.transform(selected)
+            features = np.asarray(selected, dtype=self._dtype)
             t1 = clock()
             timings.preprocess_s = t1 - t
 
             t_pca = clock()
-            if tolerance:
-                scores = features @ self.fused_weights_
-                scores += self.fused_bias_
-            else:
-                scores = self.pca.transform(features)
+            scores = self.project(features)
             timings.pca_s = clock() - t_pca
 
             t_knn = clock()
@@ -416,62 +376,58 @@ class ApplicationClassifier:
             timings=timings,
         )
 
-    def classify_snapshot_features(self, features: np.ndarray) -> np.ndarray:
-        """Classify pre-selected raw feature rows (utility for streaming).
+    def project(self, features: np.ndarray) -> np.ndarray:
+        """PCA scores of raw selected feature rows, through the fused projection.
+
+        dtype: preserve
+
+        *features* is ``(m, p)`` raw rows of the selected metrics at the
+        compute dtype; returns the ``(m, q)`` scores
+        ``features @ fused_weights_ + fused_bias_`` — normalization,
+        centering and projection in one affine map.  The product is
+        accumulated feature column by feature column onto the bias with
+        elementwise broadcasts (fixed order, no GEMM), so row *i*'s
+        scores are bit-identical for any batch size and on any BLAS.
+        The sum is built in a ``(q, m)`` buffer, so each broadcast runs
+        along the long ``m`` axis, then returned C-contiguous.  Every
+        classification path projects here.
+        """
+        weights = self.fused_weights_  # (p, q)
+        scores_t = np.empty((weights.shape[1], features.shape[0]), dtype=self._dtype)
+        scores_t[:] = self.fused_bias_[:, None]
+        scratch = np.empty_like(scores_t)
+        for j in range(weights.shape[0]):
+            np.multiply(weights[j][:, None], features[:, j], out=scratch)
+            scores_t += scratch
+        return np.ascontiguousarray(scores_t.T)
+
+    def classify_rows(self, features: np.ndarray) -> np.ndarray:
+        """Classify raw feature rows; row *i*'s class is independent of the batch.
 
         *features* is oriented samples×metrics — shape ``(k, p)`` for
         ``k`` snapshots of the ``p`` selected metrics (the transpose of
         the paper's ``p×m`` convention, one row per snapshot); returns
-        the length-``k`` class vector.  In the float32 tolerance mode
-        the rows go through the fused projection (one GEMM + bias); the
-        float64 reference mode keeps the staged path bit-identical.
+        the length-``k`` class vector.  Runs :meth:`project` and the
+        k-NN search, the same two kernels as :meth:`classify_series`
+        and the batched serving path, so row *i*'s class is
+        bit-identical however many rows share the call.
+
+        This is the streaming-ingest entry point: the unified
+        ``classify`` protocol method and the drained-batch ``pump``
+        both run it.
+
+        Raises
+        ------
+        NotTrainedError
+            If called before training.
+        ValueError
+            If *features* is not a finite ``(k, p)`` matrix.
         """
-        if self.compute_dtype != "float64":
-            x = np.asarray(features, dtype=self._dtype)
-            scores = x @ self.fused_weights_
-            scores += self.fused_bias_
-            return self.knn.predict(scores)
-        normalized = self.preprocessor.transform_features(features)
-        return self.knn.predict(self.pca.transform(normalized))
-
-    def classify_rows(self, features: np.ndarray) -> np.ndarray:
-        """Batch-size-invariant classification of raw feature rows.
-
-        Same contract as :meth:`classify_snapshot_features` — ``(k, p)``
-        pre-selected raw feature rows in, length-``k`` class vector out —
-        but with a guarantee the GEMM-based paths cannot make: **row
-        *i*'s class is bit-identical for any batch size**, because every
-        projection is accumulated feature column by feature column with
-        elementwise broadcasts (fixed order, no shape-dependent BLAS
-        kernel selection) and the neighbor search runs
-        :meth:`~repro.core.knn.KNeighborsClassifier.predict_rows`.
-
-        This is the streaming-ingest kernel: the unified ``classify``
-        protocol method and the drained-batch ``pump`` both run it,
-        which makes "drain a window, classify a batch" bit-identical
-        (per compute dtype) to classifying each announcement alone.
-        The float64 mode keeps the staged normalize→center→project
-        structure of the reference pipeline; the float32 tolerance mode
-        accumulates the fused affine projection.
-        """
+        if not self.trained:
+            raise NotTrainedError("classifier not trained")
         x = np.asarray(features, dtype=self._dtype)
-        if x.ndim != 2:
-            raise ValueError(f"expected (k, p) feature rows, got shape {x.shape}")
-        if self.compute_dtype != "float64":
-            weights = self.fused_weights_  # (p, q)
-            scores = np.empty((x.shape[0], weights.shape[1]), dtype=self._dtype)
-            scores[:] = self.fused_bias_
-            scratch = np.empty_like(scores)
-            for j in range(weights.shape[0]):
-                np.multiply(x[:, j][:, None], weights[j][None, :], out=scratch)
-                scores += scratch
-            return self.knn.predict_rows(scores)
-        centered = self.preprocessor.transform_features(x)
-        centered -= self.pca.mean_
-        components = self.pca.components_  # (q, p)
-        scores = np.multiply(centered[:, 0][:, None], components[:, 0][None, :])
-        scratch = np.empty_like(scores)
-        for j in range(1, centered.shape[1]):
-            np.multiply(centered[:, j][:, None], components[:, j][None, :], out=scratch)
-            scores += scratch
-        return self.knn.predict_rows(scores)
+        if x.ndim != 2 or x.shape[1] != self.fused_weights_.shape[0]:
+            raise ValueError(
+                f"expected (k, {self.fused_weights_.shape[0]}) feature rows, got shape {x.shape}"
+            )
+        return self.knn.predict(self.project(x))

@@ -3,43 +3,28 @@
 The sequential path (:meth:`ApplicationClassifier.classify_series`)
 pays its Python and dispatch overhead once per run; a resource manager
 classifying a fleet of short monitoring windows pays it hundreds of
-times per scheduling round.  :class:`BatchClassifier` restructures the
-Figure-2 pipeline around one stacked pass:
+times per scheduling round.  :class:`BatchClassifier` gathers the
+selected metrics of every run into one stacked ``(rows, p)`` matrix,
+then runs the classifier's own kernels once over it — the fused
+projection (:meth:`ApplicationClassifier.project`) and the k-NN
+search and vote — and packages per-run results.
 
-* normalization, squared-norm, distance assembly, top-k selection, and
-  voting run **once** over the vertically stacked snapshot rows of all
-  runs — each of these stages is row-independent, so stacking cannot
-  change any row's result;
-* the two GEMMs (PCA projection and the ``a·bᵀ`` term of the distance
-  expansion) keep their **per-run shapes**, writing into row slices of
-  preallocated batch buffers — BLAS kernel selection depends on the
-  operand shapes, so per-run shapes are what make the batch output
-  bit-identical to the sequential output.
-
-The result is a list of per-run :class:`ClassificationResult` objects
-whose class vectors, scores, compositions, application classes, and
-categories are **bit-identical** to calling ``classify_series`` on each
-run separately (asserted by ``tests/test_serve_batch.py``), at a
-multiple of the sequential throughput
+Those kernels are row-invariant: every step is elementwise or row-wise
+with a fixed accumulation order, and no GEMM is involved, so a row's
+result does not depend on how many rows share the call.  The stacked
+pass is therefore bit-identical to calling ``classify_series`` on each
+run separately — class vectors, scores, compositions, application
+classes and categories — by construction and in both compute dtypes,
+at a multiple of the sequential throughput
 (``benchmarks/bench_serve_throughput.py``).
-
-The kernel follows the classifier's ``compute_dtype``: the float64
-reference mode stages normalize→center→project exactly as before, while
-the float32 tolerance mode gathers straight into float32 and projects
-through the fused single-GEMM (+bias) built at train time — in both
-modes the batch stays bit-identical to the *same-dtype* sequential
-path (the tolerance guarantee lives between dtypes, not between batch
-and sequential).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ..core.knn import select_k
 from ..core.labels import ALL_CLASSES, ClassComposition, SnapshotClass, application_category
 from ..core.pipeline import ApplicationClassifier, ClassificationResult, StageTimings
 from ..errors import EmptySeriesError, NotTrainedError
@@ -119,19 +104,6 @@ class BatchClassifier:
         for batch in drains:
             yield self.classify_batch(drain_to_series(batch))
 
-    def classify_many(
-        self, series_list: Sequence[SnapshotSeries]
-    ) -> list[ClassificationResult]:
-        """Deprecated alias of :meth:`classify_batch` (gone in the release after 1.2)."""
-        warnings.warn(
-            "BatchClassifier.classify_many(...) is deprecated and will be "
-            "removed in the next release; use the Classifier protocol method "
-            "classify_batch(...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.classify_batch(series_list)
-
     def classify_batch(
         self, series_list: Sequence[SnapshotSeries]
     ) -> list[ClassificationResult]:
@@ -209,44 +181,25 @@ class BatchClassifier:
         self, series_list: Sequence[SnapshotSeries], split_preprocess: bool = False
     ) -> tuple[list[ClassificationResult], tuple[float, float, float, float, float]]:
         clf = self.classifier
-        preprocessor = clf.preprocessor
-        pca = clf.pca
-        knn = clf.knn
         clock = clf.clock
-        dtype = np.dtype(clf.compute_dtype)
-        # Same branch the sequential path takes: float32 runs the fused
-        # normalize→center→project GEMM, float64 keeps the staged
-        # kernels bit-identical to the pre-fusion pipeline.
-        tolerance = clf.compute_dtype != "float64"
 
-        # --- preprocess: gather selected metrics per run, normalize stacked.
-        # feature_matrix(names) is matrix[indices].copy().T; the direct
-        # gather below produces the same values without per-run catalog
-        # validation.  The gather buffer carries the compute dtype, so in
-        # tolerance mode the float32 downcast happens during the copy —
-        # the same rounding ``astype`` applies on the sequential path.
-        # Normalization is elementwise (row-independent), so one stacked
-        # transform matches the per-run transforms bit for bit.
+        # --- gather: each run's selected metrics land in their stacked
+        # slot of one buffer at the compute dtype, so the cast that is
+        # classify_series' "normalize" stage happens in the copy and
+        # that stage is empty here.  The traced path still reads the
+        # clock at the gather/normalize boundary; the untraced path
+        # keeps its exact clock-call sequence (fake-clock tests pin it).
         t = clock()
-        idx_cols = np.asarray(metric_indices(preprocessor.selector.names), dtype=np.intp)
+        idx_cols = np.asarray(metric_indices(clf.preprocessor.selector.names), dtype=np.intp)
         lengths = [s.matrix.shape[1] for s in series_list]
-        offsets = [0]
-        for m in lengths:
-            offsets.append(offsets[-1] + m)
-        total = offsets[-1]
-        # Gather straight into one preallocated buffer: each run's
-        # fancy-indexed rows land in their final stacked slot, skipping
-        # the per-run temporaries and the full-size vstack copy (pure
-        # copies, values unchanged).
-        raw = np.empty((total, idx_cols.shape[0]), dtype=dtype)
+        offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        total = int(offsets[-1])
+        raw = np.empty((total, idx_cols.shape[0]), dtype=clf.compute_dtype)
         for i, s in enumerate(series_list):
             o = offsets[i]
             raw[o : o + lengths[i]] = s.matrix[idx_cols, :].T
-        # The traced path splits preprocess at the gather/normalize
-        # boundary with one extra clock read; the untraced path keeps
-        # its exact clock-call sequence (fake-clock tests pin it).
         t_gather = clock() if split_preprocess else 0.0
-        features = raw if tolerance else preprocessor.normalizer.transform(raw)
         t_done = clock()
         preprocess_s = t_done - t
         if split_preprocess:
@@ -256,57 +209,12 @@ class BatchClassifier:
             filter_s = preprocess_s
             normalize_s = 0.0
 
-        # --- projection: the GEMM runs per run on the matching row
-        # slice, so its operand shapes — and therefore its BLAS kernel
-        # and accumulation order — are the ones the sequential path
-        # uses.  Tolerance mode projects the raw gather through the
-        # fused weights and adds the bias once over the stacked rows
-        # (elementwise, row-independent); the float64 mode centers
-        # stacked and projects per run exactly as before.
+        # --- the classifier's kernels, once over the stacked rows.
         t = clock()
-        if tolerance:
-            operand = features
-            projection = clf.fused_weights_
-        else:
-            operand = features - pca.mean_
-            projection = pca.components_.T
-        scores_all = np.empty((total, projection.shape[1]), dtype=dtype)
-        for i, m in enumerate(lengths):
-            o = offsets[i]
-            np.matmul(operand[o : o + m], projection, out=scores_all[o : o + m])
-        if tolerance:
-            scores_all += clf.fused_bias_
+        scores_all = clf.project(raw)
         pca_s = clock() - t
-
-        # --- k-NN: the a·bᵀ GEMM of the ‖a−b‖² expansion runs per run,
-        # chunked exactly like KNeighborsClassifier.kneighbors for runs
-        # longer than chunk_size; everything downstream — the in-place
-        # distance assembly ((−2ab + aa) + bb ≡ (aa − 2ab) + bb bitwise,
-        # because IEEE addition commutes and negation is exact), clip,
-        # the shared select_k top-k kernel (the same one kneighbors and
-        # kneighbors_rows call, with its (squared distance, pool index)
-        # tie rule), and the shared vote() — is row-independent and runs
-        # once on the stacked rows.  The pool norms ``‖b‖²`` come from
-        # the per-fit cache on the kNN model.
         t = clock()
-        pool = knn.training_points
-        pool_t = pool.T
-        bb = knn.training_sq_norms[None, :]
-        ab = np.empty((total, pool_t.shape[1]), dtype=dtype)
-        chunk = knn.chunk_size
-        for i, m in enumerate(lengths):
-            o = offsets[i]
-            for start in range(o, o + m, chunk):
-                stop = min(start + chunk, o + m)
-                np.matmul(scores_all[start:stop], pool_t, out=ab[start:stop])
-        aa = np.einsum("ij,ij->i", scores_all, scores_all)[:, None]
-        d2 = ab
-        d2 *= -2.0
-        d2 += aa
-        d2 += bb
-        np.maximum(d2, 0.0, out=d2)
-        indices, distances = select_k(d2, knn.k)
-        class_vector_all = knn.vote(indices, distances)
+        class_vector_all = clf.knn.predict(scores_all)
         classify_s = clock() - t
 
         t = clock()
@@ -327,7 +235,7 @@ class BatchClassifier:
         self,
         series_list: Sequence[SnapshotSeries],
         lengths: list[int],
-        offsets: list[int],
+        offsets: np.ndarray,
         class_vector_all: np.ndarray,
         scores_all: np.ndarray,
     ) -> list[ClassificationResult]:

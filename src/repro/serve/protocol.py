@@ -1,9 +1,8 @@
-"""The unified ``Classifier`` protocol (public API 1.2.0).
+"""The unified ``Classifier`` protocol (public API since 1.2.0).
 
-Before 1.2 the tree had three classification entry points with three
-spellings: ``OnlineClassifier.classify_announcement`` (one announcement
-at a time), ``BatchClassifier.classify_many`` (a fleet of series per
-call), and ``ResourceManager.classify`` (one profiled workload).  The
+The tree has three classification front ends — the online classifier
+(one announcement at a time), the batch classifier (a fleet of series
+per call) and the resource manager (one profiled workload).  The
 :class:`Classifier` protocol unifies them behind one structural shape:
 
 * ``classify(snapshot)`` — one unit of work (an announcement, a
@@ -21,8 +20,8 @@ announcements in, ``SnapshotClass`` out for the online path; series in,
 implementation also carries a ``from_config`` factory that builds it
 from a :class:`~repro.core.config.ClassifierConfig` plus an injected
 model source.  The ingest plane's consumer path speaks *only* this
-protocol; the pre-1.2 spellings remain as one-release
-``DeprecationWarning`` shims (``docs/API.md`` § Deprecation policy).
+protocol; the pre-1.2 spellings were removed in 1.3 (``docs/API.md``
+§ Deprecation policy).
 """
 
 from __future__ import annotations

@@ -189,16 +189,16 @@ class TestAttachDetachLifecycle:
         assert online.attached
         assert online.state("VM1").snapshots_seen == 2
 
-    def test_classify_announcement_raises_when_detached(self, trained):
+    def test_classify_raises_when_detached(self, trained):
         channel = MulticastChannel()
         online = OnlineClassifier(trained, channel)
         series = synthetic_series("cpu", m=1, seed=11)
         ann = MetricAnnouncement(node="VM1", timestamp=0.0, values=series.matrix[:, 0])
         online.detach()
         with pytest.raises(RuntimeError, match="detached"):
-            online.classify_announcement(ann)
+            online.classify(ann)
         online.attach()
-        assert online.classify_announcement(ann) is SnapshotClass.CPU
+        assert online.classify(ann) is SnapshotClass.CPU
 
     def test_late_delivery_after_detach_is_dropped(self, trained):
         """Detaching from inside the same fan-out drops later deliveries.

@@ -159,7 +159,7 @@ class TestNonFiniteGuard:
         gemm_idx, _ = knn.kneighbors(queries)
         for row in np.concatenate([idx, gemm_idx]):
             assert len(set(row.tolist())) == 5
-        assert knn.predict_rows(queries).shape == (3,)
+        assert knn.predict(queries).shape == (3,)
 
 
 # ----------------------------------------------------------------------
@@ -188,7 +188,8 @@ def exact_sq_distances(queries: np.ndarray, pool: np.ndarray) -> np.ndarray:
 def identity_classifier(classifier):
     """The session classifier with identity preprocessing and a projection
     onto the first two selected metrics, so the PCA scores of a series
-    are exactly its (integer) metric values."""
+    are exactly its (integer) metric values.  The fused projection is
+    rebuilt from the swapped components, as every classify path uses it."""
     clf = copy.copy(classifier)
     preprocessor = copy.deepcopy(classifier.preprocessor)
     pca = copy.deepcopy(classifier.pca)
@@ -199,6 +200,7 @@ def identity_classifier(classifier):
     pca.components_ = np.eye(2, p)
     clf.preprocessor = preprocessor
     clf.pca = pca
+    clf._build_fused_projection()
     return clf
 
 

@@ -85,7 +85,10 @@ class TestPairwiseDistancesBitIdentity:
         b = rng(8).normal(size=(31, 2))
         aa = np.einsum("ij,ij->i", a, a)[:, None]
         bb = np.einsum("ij,ij->i", b, b)[None, :]
-        expected = np.maximum(aa - 2.0 * (a @ b.T) + bb, 0.0)
+        # −2·a·bᵀ accumulated column by column: one product per entry.
+        neg2ab = np.multiply.outer(a[:, 0], -2.0 * b[:, 0])
+        neg2ab += np.multiply.outer(a[:, 1], -2.0 * b[:, 1])
+        expected = np.maximum(neg2ab + aa + bb, 0.0)
         assert np.array_equal(pairwise_sq_distances(a, b), expected)
 
     def test_self_distances_are_clipped_nonnegative(self):

@@ -1,5 +1,8 @@
 """The README quickstart snippet must work exactly as documented."""
 
+import re
+from pathlib import Path
+
 from repro.experiments import build_trained_classifier
 from repro.sim import profiled_run
 from repro.workloads import postmark
@@ -51,8 +54,20 @@ def test_readme_ingest_snippet():
 def test_package_version_importable():
     import repro
 
-    assert repro.__version__ == "1.2.0"
+    assert repro.__version__ == "1.3.0"
     # Every advertised subpackage is importable from the root.
     for name in repro.__all__:
         if name != "__version__":
             assert getattr(repro, name) is not None
+
+
+def test_version_agrees_across_packaging_files():
+    # Parsed with regexes: tomllib is not available on Python 3.10.
+    import repro
+
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text()
+    setup = (root / "setup.py").read_text()
+    (from_pyproject,) = re.findall(r'^version\s*=\s*"([^"]+)"', pyproject, re.MULTILINE)
+    (from_setup,) = re.findall(r'\bversion\s*=\s*"([^"]+)"', setup)
+    assert from_pyproject == from_setup == repro.__version__

@@ -12,12 +12,11 @@ regression is a real kernel change rather than noise:
   two float32 ulps of the cast float64 parameters (rtol 1e-6);
 * fitted PCA basis — the eigensolve always runs at float64; cast and
   sign-alignment leave components within atol 1e-6 (measured 3e-8);
-* projected scores — fused single-GEMM float32 projection stays within
-  atol 1e-4 of the staged float64 scores (measured 3.8e-6 on score
-  scale ~1);
-* the float64 fused weights match the staged normalize→center→project
-  composition to atol 1e-12 (measured 7e-16) — the algebraic fold is
-  exact up to rounding;
+* projected scores — the float32 fused projection stays within atol
+  1e-4 of the float64 scores (measured 3.8e-6 on score scale ~1);
+* the float64 fused projection every classify path runs matches the
+  staged normalize→center→project composition to atol 1e-12 (measured
+  7e-16) — the algebraic fold is exact up to rounding;
 * within float32, the batched path is *bit-identical* to the
   sequential path, the same guarantee the float64 kernel makes.
 """
@@ -130,13 +129,11 @@ class TestStageTolerances:
     def test_float64_fused_weights_match_staged_composition(
         self, classifier, table2_corpus
     ):
-        # The fused weights exist for both dtypes; in float64 mode the
-        # classify path stays staged (bit-identity), so pin the fold's
-        # closeness here instead.
+        # Every float64 classify path projects through the fused
+        # weights; pin the fold's closeness to the staged composition.
         _, series = table2_corpus[0]
-        staged = classifier.classify_series(series).scores
-        selected = classifier.preprocessor.selector.transform_series(series)
-        fused = selected @ classifier.fused_weights_ + classifier.fused_bias_
+        fused = classifier.classify_series(series).scores
+        staged = classifier.pca.transform(classifier.preprocessor.transform_series(series))
         np.testing.assert_allclose(fused, staged, atol=FUSED_F64_ATOL)
 
 
@@ -179,6 +176,7 @@ class TestFloat32Plumbing:
         # The online path feeds (1, p) raw feature rows through the
         # fused projection; the result must be float32 end to end.
         raw = np.zeros((1, len(classifier_f32.preprocessor.selector.names)))
-        codes = classifier_f32.classify_snapshot_features(raw)
+        assert classifier_f32.project(raw.astype(np.float32)).dtype == np.dtype(np.float32)
+        codes = classifier_f32.classify_rows(raw)
         assert codes.dtype == np.dtype(np.int64)
         assert codes.shape == (1,)
