@@ -405,75 +405,43 @@ class KNeighborsClassifier:
 
         This is the voting half of :meth:`predict`, split out so callers
         that already hold neighbors vote through exactly the same code
-        path.  Every voting rule —
-        unweighted majority, the weighted ablation, and the
-        deterministic tie-breaks — operates row-independently, so
-        voting on stacked rows is bit-identical to voting per run.
+        path.  Each neighbor votes with a weight: 1 under the paper's
+        plain majority, or, with ``weighted``, its inverse distance —
+        except that in a row holding zero-distance neighbors only those
+        vote, with unit weight, so an exact training-pool hit can never
+        be outvoted by a cloud of merely-near neighbors.  The highest
+        score wins; ties go to the smaller summed distance of the
+        class's voters, then to the smaller class code.  Scores and
+        distance sums accumulate at the distances' dtype in neighbor
+        order, and every rule is row-independent, so voting on stacked
+        rows is bit-identical to voting per run.
         """
         if self._y is None:
             raise RuntimeError("classifier not fitted")
         neighbor_labels = self._y[indices]  # (m, k)
         m = neighbor_labels.shape[0]
         n_classes = int(self._y.max()) + 1
-        if self.weighted:
-            return self._predict_weighted(neighbor_labels, distances, n_classes)
-        # Vote counts per class, vectorized with a bincount over flattened
-        # (row, class) keys.
-        keys = (np.arange(m)[:, None] * n_classes + neighbor_labels).ravel()
-        votes = np.bincount(keys, minlength=m * n_classes).reshape(m, n_classes)
-        # Distance sums per class (tie-break 1: smaller total distance),
-        # accumulated at the model's compute dtype (float64 path unchanged).
-        dist_sums = np.zeros((m, n_classes), dtype=distances.dtype)
-        np.add.at(
-            dist_sums,
-            (np.repeat(np.arange(m), self.k), neighbor_labels.ravel()),
-            distances.ravel(),
-        )
-        # Rank: most votes, then smallest distance sum, then smallest code.
-        # Compose a sortable score; votes dominate, then negative distance.
-        best = np.full(m, -1, dtype=np.int64)
-        best_votes = np.full(m, -1, dtype=np.int64)
-        best_dist = np.full(m, np.inf, dtype=distances.dtype)
-        for c in range(n_classes):
-            v = votes[:, c]
-            d = np.where(v > 0, dist_sums[:, c], np.inf)
-            better = (v > best_votes) | ((v == best_votes) & (d < best_dist))
-            best = np.where(better, c, best)
-            best_votes = np.where(better, v, best_votes)
-            best_dist = np.where(better, d, best_dist)
-        return best
-
-    def _predict_weighted(
-        self, neighbor_labels: np.ndarray, distances: np.ndarray, n_classes: int
-    ) -> np.ndarray:
-        """Inverse-distance-weighted voting (ablation variant).
-
-        *neighbor_labels* and *distances* both have shape ``(m, k)``.
-        Exact matches dominate: in any row containing zero-distance
-        neighbors, only those neighbors vote (each with unit weight), so
-        an exact training-pool hit can never be outvoted by a cloud of
-        merely-near neighbors.  Ties break exactly like the unweighted
-        path: higher score, then smaller summed neighbor distance, then
-        smaller class code.
-        """
-        m = neighbor_labels.shape[0]
         dtype = distances.dtype
-        rows = np.repeat(np.arange(m), self.k)
-        # Distances come out of kneighbors clipped at zero, so <= 0 is
-        # the exact-match condition.
-        exact = distances <= 0.0
-        has_exact = exact.any(axis=1)
-        safe = np.where(exact, dtype.type(1.0), distances)  # avoid 0-division; masked below
-        weights = np.where(has_exact[:, None], exact.astype(dtype), dtype.type(1.0) / safe)
-        scores = np.zeros((m, n_classes), dtype=dtype)
-        np.add.at(scores, (rows, neighbor_labels.ravel()), weights.ravel())
-        # Distance sums over *contributing* neighbors only (tie-break 1).
-        dist_sums = np.zeros((m, n_classes), dtype=dtype)
-        np.add.at(
-            dist_sums,
-            (rows, neighbor_labels.ravel()),
-            np.where(weights > 0.0, distances, dtype.type(0.0)).ravel(),
-        )
+        if self.weighted:
+            # Distances come out of kneighbors clipped at zero, so <= 0
+            # is the exact-match condition.
+            exact = distances <= 0.0
+            safe = np.where(exact, dtype.type(1.0), distances)  # no 0-division; masked below
+            weights = np.where(
+                exact.any(axis=1)[:, None], exact.astype(dtype), dtype.type(1.0) / safe
+            )
+            voter_distances = np.where(weights > 0.0, distances, dtype.type(0.0))
+        else:
+            weights = np.ones_like(distances)
+            voter_distances = distances
+        # Per-(row, class) totals through flat (row, class) keys.
+        keys = (np.arange(m)[:, None] * n_classes + neighbor_labels).ravel()
+        scores = np.zeros(m * n_classes, dtype=dtype)
+        np.add.at(scores, keys, weights.ravel())
+        dist_sums = np.zeros(m * n_classes, dtype=dtype)
+        np.add.at(dist_sums, keys, voter_distances.ravel())
+        scores = scores.reshape(m, n_classes)
+        dist_sums = dist_sums.reshape(m, n_classes)
         best = np.full(m, -1, dtype=np.int64)
         best_score = np.full(m, -np.inf, dtype=dtype)
         best_dist = np.full(m, np.inf, dtype=dtype)

@@ -148,7 +148,7 @@ def application_category(
     IO and MEM merge into "IO & Paging Intensive"; applications with a
     substantial idle share and a mix of other activity are the paper's
     "Idle + Others" interactive category.  Callers that already computed
-    the composition's dominant class (the batched serving kernel does,
+    the composition's dominant class (the stacked classify kernel does,
     for a whole fleet at once) may pass it to skip the re-derivation; it
     must equal ``composition.dominant()``.
     """

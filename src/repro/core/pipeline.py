@@ -22,20 +22,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..errors import EmptySeriesError, NotTrainedError
+from ..metrics.catalog import metric_indices
 from ..metrics.series import SnapshotSeries
 from ..obs import (
     enabled as obs_enabled,
     get_registry as obs_get_registry,
     span as obs_span,
 )
+from ..obs.context import PIPELINE_STAGE_NAMES
 from .config import ClassifierConfig
 from .knn import KNeighborsClassifier
-from .labels import (
-    ClassComposition,
-    SnapshotClass,
-    application_category,
-    majority_vote,
-)
+from .labels import ALL_CLASSES, ClassComposition, SnapshotClass, application_category
 from .pca import PCA
 from .preprocessing import MetricSelector, Normalizer, Preprocessor
 
@@ -50,6 +47,9 @@ Clock = Callable[[], float]
 #: single sanctioned wall-clock touchpoint in ``repro.core`` — everything
 #: else must receive time through an injected ``Clock``.
 DEFAULT_CLOCK: Clock = time.perf_counter
+
+#: Names of the per-stage child spans emitted under a request trace.
+_STAGE_SPAN_NAMES = tuple(f"pipeline.stage.{stage}" for stage in PIPELINE_STAGE_NAMES)
 
 
 @dataclass
@@ -89,6 +89,30 @@ class ClassificationResult:
     def percent(self, c: SnapshotClass) -> float:
         """Composition percentage of class *c* (Table 3 format)."""
         return 100.0 * self.composition.fraction(c)
+
+
+def _run_compositions(
+    class_vector: np.ndarray, lengths: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-run class fractions and dominant codes of a stacked class vector.
+
+    dtype: float64
+
+    Run *i* owns the next ``lengths[i]`` entries of *class_vector*.
+    Compositions are fractions of integer counts, exact bookkeeping kept
+    at float64 in both numeric modes: one stacked ``bincount`` (the same
+    bits as ``ClassComposition.from_class_vector`` per run) and one
+    row-wise ``argmax`` (each composition's ``dominant()``: a tie goes
+    to the lower code).  Returns the ``(runs, classes)`` fractions and
+    the length-``runs`` dominant codes.
+    """
+    n_classes = len(ALL_CLASSES)
+    run_ids = np.repeat(np.arange(len(lengths)), lengths)
+    counts = np.bincount(
+        run_ids * n_classes + class_vector, minlength=len(lengths) * n_classes
+    ).reshape(len(lengths), n_classes)
+    fractions = counts / np.asarray(lengths, dtype=np.float64)[:, None]
+    return fractions, np.argmax(fractions, axis=1)
 
 
 class ApplicationClassifier:
@@ -151,6 +175,8 @@ class ApplicationClassifier:
         # projection every classification path runs (see project()).
         self.fused_weights_: np.ndarray | None = None
         self.fused_bias_: np.ndarray | None = None
+        # Catalog rows of the selected metrics, the gather's index.
+        self._metric_indices: np.ndarray | None = None
         # Cached observability instrument handles, keyed by
         # (registry, generation); see _obs_instruments().
         self._obs_cache: tuple | None = None
@@ -239,8 +265,13 @@ class ApplicationClassifier:
         ``c = −(μn/σn + μp) @ Wᵀ`` — one ``(p, q)`` projection plus a
         bias per classification instead of three elementwise passes and
         a projection.  The operands carry the compute dtype; rebuild
-        them after replacing the fitted preprocessor or PCA.
+        them after replacing the fitted preprocessor or PCA.  The
+        selector's catalog rows, which every series gather reads, are
+        resolved here too.
         """
+        self._metric_indices = np.asarray(
+            metric_indices(self.preprocessor.selector.names), dtype=np.intp
+        )
         normalizer = self.preprocessor.normalizer
         components_t = self.pca.components_.T
         self.fused_weights_ = components_t / normalizer.scale_[:, None]
@@ -256,10 +287,11 @@ class ApplicationClassifier:
     # ------------------------------------------------------------------
     # classification
     # ------------------------------------------------------------------
-    def _obs_instruments(self) -> tuple[dict, object, object]:
+    def _obs_instruments(self) -> tuple[tuple, object, object]:
         """Instrument handles for the hot path, cached per registry epoch.
 
-        ``classify_series`` observes five stage latencies and two
+        :meth:`classify_stacked` observes five stage latencies (the
+        histograms come in :data:`PIPELINE_STAGE_NAMES` order) and two
         counters per call; resolving each through the registry's
         get-or-create (label normalization, dict keys) would dominate
         the instrumentation budget.  Handles stay valid until the
@@ -270,23 +302,24 @@ class ApplicationClassifier:
         cache = self._obs_cache
         if cache is not None and cache[0] is registry and cache[1] == registry.generation:
             return cache[2], cache[3], cache[4]
-        stage_hists = {
-            stage: registry.histogram(
+        stage_hists = tuple(
+            registry.histogram(
                 "pipeline.stage.seconds",
                 help="Latency of one classification pipeline stage.",
                 stage=stage,
             )
-            for stage in ("filter", "normalize", "pca", "knn", "postprocess")
-        }
-        snapshots_c = registry.counter(
-            "pipeline.snapshots", help="Snapshots classified by classify_series."
+            for stage in PIPELINE_STAGE_NAMES
         )
+        snapshots_c = registry.counter("pipeline.snapshots", help="Snapshots classified.")
         runs_c = registry.counter("pipeline.runs", help="Series classified end to end.")
         self._obs_cache = (registry, registry.generation, stage_hists, snapshots_c, runs_c)
         return stage_hists, snapshots_c, runs_c
 
     def classify_series(self, series: SnapshotSeries) -> ClassificationResult:
         """Classify every snapshot of *series* and aggregate.
+
+        The one-run case of :meth:`classify_stacked`, so it is the same
+        kernel, with the same checks and telemetry, as batched serving.
 
         Raises
         ------
@@ -295,86 +328,115 @@ class ApplicationClassifier:
         EmptySeriesError
             If the series is empty (a ``ValueError`` subclass).
         """
+        return self.classify_stacked([series])[0][0]
+
+    def classify_stacked(
+        self, series_list: Sequence[SnapshotSeries]
+    ) -> tuple[list[ClassificationResult], tuple[float, float, float, float, float]]:
+        """Classify many runs in one stacked pass: the one series kernel.
+
+        dtype: preserve
+
+        Every series path runs here — :meth:`classify_series` is the
+        one-run case and ``repro.serve.batch.BatchClassifier`` the
+        many-run one — so batch ≡ sequential holds by construction.  The
+        selected metrics of every run are gathered into one ``(rows, p)``
+        buffer at the compute dtype (the copy is the cast), projected by
+        :meth:`project`, classified by ``knn.predict``, and packaged per
+        run: compositions are fractions of integer counts from one
+        stacked ``bincount`` (exact bookkeeping, float64 in both modes)
+        and application classes one row-wise ``argmax`` (a tie goes to
+        the lower code, as in ``ClassComposition.dominant``).
+
+        Returns the per-run results in input order, plus the batch's
+        ``(filter, normalize, pca, knn, vote)`` stage seconds.  The
+        normalize stage is empty: normalization is folded into the
+        projection.  Each result's :class:`StageTimings` is the batch's
+        split scaled by the run's share of the stacked snapshots, so the
+        per-run timings sum to the batch totals (§5.3 accounting).
+
+        With obs enabled the call opens one ``pipeline.classify`` span,
+        observes each stage once into ``pipeline.stage.seconds``, counts
+        ``pipeline.runs`` and ``pipeline.snapshots``, and, only while a
+        request trace is open on this thread, emits the five
+        ``pipeline.stage.*`` child spans from the clock reads already
+        taken.  (Per-stage spans on every call would cost more than the
+        obs overhead budget; five histogram observations do not.)
+
+        Raises
+        ------
+        NotTrainedError
+            If called before training (a ``RuntimeError`` subclass).
+        EmptySeriesError
+            If any series is empty (a ``ValueError`` subclass); the batch
+            is rejected whole, before any work.
+        ValueError
+            If a selected metric is not finite.
+        """
         if not self.trained:
             raise NotTrainedError("classifier not trained")
-        if len(series) == 0:
+        lengths = [len(series) for series in series_list]
+        if 0 in lengths:
             raise EmptySeriesError("cannot classify an empty series")
-        timings = StageTimings()
+        if not lengths:
+            return [], (0.0, 0.0, 0.0, 0.0, 0.0)
         clock = self.clock
-
-        # Observability reuses the §5.3 StageTimings clock reads: one
-        # tracing span wraps the whole pipeline and the per-stage
-        # latencies go into the ``pipeline.stage.seconds`` histogram
-        # family.  (Per-stage *spans* cost too much on this hot path —
-        # six span entries/exits per call measurably exceed the 5%
-        # overhead budget, five histogram observations do not.)  While
-        # obs is disabled (the default) the span is a shared no-op and
-        # ``timed`` is False, so the clock-call sequence is exactly the
-        # classic four stage pairs.  Normalization is folded into the
-        # fused projection, so the "normalize" slot is the cast to the
-        # compute dtype and the "pca" slot is :meth:`project`.
         timed = obs_enabled()
         with obs_span("pipeline.classify", clock=clock):
-            t0 = t = clock()
-            selected = self.preprocessor.selector.transform_series(series)
-            t_filter = clock() if timed else 0.0
-            features = np.asarray(selected, dtype=self._dtype)
+            t0 = clock()
+            offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+            np.cumsum(lengths, out=offsets[1:])
+            total = int(offsets[-1])
+            raw = np.empty((total, self._metric_indices.shape[0]), dtype=self._dtype)
+            for series, start, stop in zip(series_list, offsets, offsets[1:]):
+                raw[start:stop] = series.matrix[self._metric_indices].T
             t1 = clock()
-            timings.preprocess_s = t1 - t
-
-            t_pca = clock()
-            scores = self.project(features)
-            timings.pca_s = clock() - t_pca
-
-            t_knn = clock()
+            scores = self.project(raw)
+            t2 = clock()
             class_vector = self.knn.predict(scores)
-            timings.classify_s = clock() - t_knn
-
-            t_vote = clock()
-            composition = ClassComposition.from_class_vector(class_vector)
-            app_class = majority_vote(class_vector)
-            category = application_category(composition)
-            timings.vote_s = clock() - t_vote
-
-            # Under a request trace (an enclosing span carrying a
-            # nonzero trace id) the per-stage latencies become child
-            # spans too — synthesized from the clock reads already
-            # taken, so tracing adds zero extra clock calls here.
+            t3 = clock()
+            fractions, dominant = _run_compositions(class_vector, lengths)
+            results = []
+            for series, start, stop, row, code in zip(
+                series_list, offsets, offsets[1:], fractions.tolist(), dominant
+            ):
+                composition = ClassComposition(fractions=tuple(row))
+                app_class = SnapshotClass(int(code))
+                results.append(
+                    ClassificationResult(
+                        node=series.node,
+                        num_samples=int(stop - start),
+                        class_vector=class_vector[start:stop].copy(),
+                        composition=composition,
+                        application_class=app_class,
+                        category=application_category(composition, dominant=app_class),
+                        scores=scores[start:stop].copy(),
+                    )
+                )
+            t4 = clock()
+            stage_seconds = (t1 - t0, 0.0, t2 - t1, t3 - t2, t4 - t3)
             if timed:
                 registry = obs_get_registry()
                 if registry.current_trace_id():
                     registry.emit_spans(
-                        (
-                            ("pipeline.stage.filter", t0, t_filter - t0),
-                            ("pipeline.stage.normalize", t_filter, t1 - t_filter),
-                            ("pipeline.stage.pca", t_pca, timings.pca_s),
-                            ("pipeline.stage.knn", t_knn, timings.classify_s),
-                            ("pipeline.stage.postprocess", t_vote, timings.vote_s),
-                        )
+                        zip(_STAGE_SPAN_NAMES, (t0, t1, t1, t2, t3), stage_seconds)
                     )
         if timed:
             stage_hists, snapshots_c, runs_c = self._obs_instruments()
-            for stage, duration in (
-                ("filter", t_filter - t0),
-                ("normalize", t1 - t_filter),
-                ("pca", timings.pca_s),
-                ("knn", timings.classify_s),
-                ("postprocess", timings.vote_s),
-            ):
-                stage_hists[stage].observe(duration)
-            snapshots_c.inc(len(series))
-            runs_c.inc()
-
-        return ClassificationResult(
-            node=series.node,
-            num_samples=len(series),
-            class_vector=class_vector,
-            composition=composition,
-            application_class=app_class,
-            category=category,
-            scores=scores,
-            timings=timings,
-        )
+            for hist, duration in zip(stage_hists, stage_seconds):
+                hist.observe(duration)
+            snapshots_c.inc(total)
+            runs_c.inc(len(results))
+        filter_s, _, pca_s, knn_s, vote_s = stage_seconds
+        for result in results:
+            share = result.num_samples / total
+            result.timings = StageTimings(
+                preprocess_s=filter_s * share,
+                pca_s=pca_s * share,
+                classify_s=knn_s * share,
+                vote_s=vote_s * share,
+            )
+        return results, stage_seconds
 
     def project(self, features: np.ndarray) -> np.ndarray:
         """PCA scores of raw selected feature rows, through the fused projection.

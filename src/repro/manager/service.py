@@ -158,13 +158,7 @@ class ResourceManager:
         self, workload: Workload, *, vm_mem_mb: float = 256.0
     ) -> ClassificationResult:
         """Profile and classify a workload without recording it."""
-        with obs_span("manager.classify"):
-            classifier = self.ensure_trained()
-            self._profile_counter += 1
-            run = profiled_run(
-                workload, vm_mem_mb=vm_mem_mb, seed=self.seed + 1000 + self._profile_counter
-            )
-            return classifier.classify_series(run.series)
+        return self.classify_batch([workload], vm_mem_mb=vm_mem_mb)[0]
 
     def classify_batch(
         self, workloads: Sequence[Workload], *, vm_mem_mb: float = 256.0
@@ -178,18 +172,7 @@ class ResourceManager:
         bit-identical to per-run classification, nothing is recorded.
         """
         with obs_span("manager.classify_batch"):
-            classifier = self.ensure_trained()
-            runs = []
-            for workload in workloads:
-                self._profile_counter += 1
-                runs.append(
-                    profiled_run(
-                        workload,
-                        vm_mem_mb=vm_mem_mb,
-                        seed=self.seed + 1000 + self._profile_counter,
-                    )
-                )
-            return BatchClassifier(classifier).classify_batch([r.series for r in runs])
+            return self._profile_and_classify(workloads, vm_mem_mb)[1]
 
     def classify_stream(self, drains):
         """Lazily classify a stream of ingest-plane drains.
@@ -212,28 +195,17 @@ class ResourceManager:
     ) -> list[LearnOutcome]:
         """Profile, batch-classify, and record a fleet of named workloads.
 
-        The batched analogue of repeated :meth:`profile_and_learn`
-        calls: one :class:`LearnOutcome` per ``(application, workload)``
-        pair, with every run's record stored in the application DB and
+        The batched form of :meth:`profile_and_learn`: one
+        :class:`LearnOutcome` per ``(application, workload)`` pair, with
+        every run's record stored in the application DB and
         classification done through the vectorized serving kernel.
         """
-        with obs_span("manager.learn_many"):
-            classifier = self.ensure_trained()
-            apps = []
-            runs = []
-            for application, workload in named_workloads:
-                self._profile_counter += 1
-                apps.append(application)
-                runs.append(
-                    profiled_run(
-                        workload,
-                        vm_mem_mb=vm_mem_mb,
-                        seed=self.seed + 1000 + self._profile_counter,
-                    )
-                )
-            results = BatchClassifier(classifier).classify_batch([r.series for r in runs])
+        with obs_span("manager.profile_and_learn"):
+            runs, results = self._profile_and_classify(
+                [workload for _, workload in named_workloads], vm_mem_mb
+            )
             outcomes = []
-            for application, run, result in zip(apps, runs, results):
+            for (application, _), run, result in zip(named_workloads, runs, results):
                 record = RunRecord(
                     application=application,
                     node=run.node,
@@ -258,28 +230,33 @@ class ResourceManager:
         vm_mem_mb: float = 256.0,
     ) -> LearnOutcome:
         """Run *workload* in a dedicated VM, classify it, store the record."""
-        with obs_span("manager.profile_and_learn"):
-            classifier = self.ensure_trained()
-            self._profile_counter += 1
-            with obs_span("manager.profile"):
-                run = profiled_run(
-                    workload, vm_mem_mb=vm_mem_mb, seed=self.seed + 1000 + self._profile_counter
+        return self.learn_many([(application, workload)], vm_mem_mb=vm_mem_mb)[0]
+
+    def _profile_and_classify(
+        self, workloads: Sequence[Workload], vm_mem_mb: float
+    ) -> tuple[list[RunResult], list[ClassificationResult]]:
+        """Profile each workload in its own VM, then classify the runs as one batch.
+
+        Every workload takes the next profiling seed
+        (``seed + 1000 + n`` for the manager's *n*-th profiled run), so
+        a batch draws the same seeds as the same workloads profiled one
+        call at a time.
+        """
+        classifier = self.ensure_trained()
+        runs = []
+        with obs_span("manager.profile"):
+            for workload in workloads:
+                self._profile_counter += 1
+                runs.append(
+                    profiled_run(
+                        workload,
+                        vm_mem_mb=vm_mem_mb,
+                        seed=self.seed + 1000 + self._profile_counter,
+                    )
                 )
-            with obs_span("manager.classify"):
-                result = classifier.classify_series(run.series)
-            record = RunRecord(
-                application=application,
-                node=run.node,
-                t0=run.t0,
-                t1=run.t1,
-                num_samples=result.num_samples,
-                application_class=result.application_class,
-                composition=result.composition,
-                environment={"vm_mem_mb": vm_mem_mb},
-            )
-            self.db.add_run(record)
-            obs_counter("manager.runs.learned", help="Profiling runs learned into the DB.").inc()
-            return LearnOutcome(record=record, result=result, run=run)
+        with obs_span("manager.classify"):
+            results = BatchClassifier(classifier).classify_batch([r.series for r in runs])
+        return runs, results
 
     def known_applications(self) -> list[str]:
         """Applications with at least one learned run."""

@@ -7,7 +7,10 @@ import pytest
 from repro import obs
 from repro.cli import main
 from repro.manager.service import ResourceManager
+from repro.obs.context import PIPELINE_STAGE_NAMES
 from repro.obs.export import registry_to_dict
+from repro.serve.batch import BatchClassifier
+from repro.serve.service import ClassificationService
 from repro.workloads.catalog import entry
 
 from tests.test_core_pipeline import synthetic_series, synthetic_training
@@ -64,6 +67,39 @@ class TestPipelineInstrumentation:
         instrumented = classifier.classify_series(series)
         assert instrumented.class_vector.tolist() == baseline.class_vector.tolist()
         assert instrumented.application_class is baseline.application_class
+
+
+class TestServedTelemetry:
+    """Served traffic feeds the same pipeline instruments as classify_series."""
+
+    FLEET = [("cpu", 12), ("io", 7), ("net", 20), ("cpu", 1)]
+
+    def fleet(self):
+        return [
+            synthetic_series(kind, m=m, seed=30 + i, node=f"VM{i}")
+            for i, (kind, m) in enumerate(self.FLEET)
+        ]
+
+    def test_one_batch_is_one_observation_per_stage(self, classifier):
+        registry = obs.enable()
+        fleet = self.fleet()
+        BatchClassifier(classifier).classify_batch(fleet)
+        for stage in PIPELINE_STAGE_NAMES:
+            assert registry.histogram("pipeline.stage.seconds", stage=stage).count == 1, stage
+        assert registry.counter("pipeline.runs").value == float(len(fleet))
+        assert registry.counter("pipeline.snapshots").value == float(sum(map(len, fleet)))
+        assert _span_count(registry, "pipeline.classify") == 1
+
+    def test_service_feeds_stage_histogram(self, classifier):
+        registry = obs.enable()
+        fleet = self.fleet()
+        with ClassificationService(classifier, batch_size=len(fleet), workers=1) as service:
+            for future in [service.submit(series) for series in fleet]:
+                future.result(timeout=10)
+        knn = registry.histogram("pipeline.stage.seconds", stage="knn")
+        assert 1 <= knn.count <= len(fleet)
+        assert registry.counter("pipeline.runs").value == float(len(fleet))
+        assert registry.counter("pipeline.snapshots").value == float(sum(map(len, fleet)))
 
 
 class TestManagerInstrumentation:

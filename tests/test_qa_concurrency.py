@@ -15,12 +15,10 @@ from pathlib import Path
 
 from repro.qa import (
     Analyzer,
-    Baseline,
     ConcurrencyIndex,
     ProjectIndex,
     SourceModule,
     build_module_symbols,
-    get_rule,
 )
 from repro.qa.cli import main as qa_main
 from repro.qa.lockgraph import render_guard_tables, render_lock_order, to_dot
@@ -653,21 +651,18 @@ def test_cli_concurrency_verb(tmp_path, capsys, monkeypatch):
 # ----------------------------------------------------------------------
 
 
-def test_live_tree_is_clean_under_concurrency_rules():
+def test_live_tree_is_clean_under_concurrency_rules(live_qa):
     """src/ carries zero concurrency findings outside the baseline.
 
     The guard tables must still cover the threaded serve/obs classes —
     an empty analysis would also be "clean", so assert the inference
     actually sees them.
     """
-    rules = [get_rule(rule_id) for rule_id in CONCURRENCY_RULES]
-    analyzer = Analyzer(rules, baseline=Baseline.load(REPO / "qa-baseline.txt"))
-    report = analyzer.run([REPO / "src"])
-    rendered = "\n".join(f.render() for f in report.findings)
-    assert not report.findings, f"concurrency findings in src/:\n{rendered}"
+    found = [f for f in live_qa.report.findings if f.rule_id in CONCURRENCY_RULES]
+    rendered = "\n".join(f.render() for f in found)
+    assert not found, f"concurrency findings in src/:\n{rendered}"
 
-    index = analyzer.build_index([REPO / "src"])
-    tables = render_guard_tables(ConcurrencyIndex.of(index))
+    tables = render_guard_tables(ConcurrencyIndex.of(live_qa.index))
     for cls in (
         "ClassificationService",
         "ModelCache",

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.qa import Analyzer, all_rules
+from repro.qa import Analyzer
 from repro.qa.cli import main as qa_main
 from repro.qa.dtypeflow import (
     BOOL,
@@ -666,15 +666,15 @@ class TestNumericsReport:
         payload = json.loads(capsys.readouterr().out)
         kernels = {k["module"] + "." + k["function"] for k in payload["kernels"]}
         assert "repro.core.knn.pairwise_sq_distances" in kernels
-        assert "repro.serve.batch.BatchClassifier._run_stacked" in kernels
-        batch = next(
+        assert "repro.core.pipeline.ApplicationClassifier.classify_stacked" in kernels
+        stacked = next(
             k
             for k in payload["kernels"]
-            if k["function"] == "BatchClassifier._run_stacked"
+            if k["function"] == "ApplicationClassifier.classify_stacked"
         )
-        assert batch["declared"] == "preserve"
+        assert stacked["declared"] == "preserve"
         # The stacked kernel writes through preallocated buffers.
-        assert any(op["kind"] == "inplace" for op in batch["ops"])
+        assert any(op["kind"] == "inplace" for op in stacked["ops"])
 
     def test_missing_path_is_usage_error(self, capsys):
         assert qa_main(["numerics", "no/such/path", "--no-cache"]) == 2
@@ -686,9 +686,13 @@ class TestNumericsReport:
 # ----------------------------------------------------------------------
 
 
-def test_live_tree_has_no_numeric_findings():
-    """The kernels in core/ and serve/ must satisfy their own lint."""
-    analyzer = Analyzer(list(all_rules()))
-    report = analyzer.run([REPO / "src" / "repro"])
-    numeric = [f for f in report.findings if f.rule_id in NUMERIC_RULES]
+def test_live_tree_has_no_numeric_findings(live_qa):
+    """The kernels in core/ and serve/ must satisfy their own lint.
+
+    A numeric finding fails this check even if the baseline lists it.
+    """
+    report = live_qa.report
+    numeric = [
+        f for f in [*report.findings, *report.grandfathered] if f.rule_id in NUMERIC_RULES
+    ]
     assert numeric == [], [f.render() for f in numeric]
