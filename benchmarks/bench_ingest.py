@@ -1,9 +1,9 @@
 """Ingest-plane throughput — drained batches must stay ≥ 10× per-announcement.
 
 Times the per-announcement push path (every announcement classified on
-multicast delivery) against the ingest plane (announcements land in
-per-node ring buffers; the consumer drains a merged, watermarked window
-and classifies it in one vectorized pass) on a synthetic 64-node fleet.
+multicast delivery) against the ingest plane (announcements land in one
+columnar log; the consumer drains a merged, watermarked window and
+classifies it in one vectorized pass) on a synthetic 64-node fleet.
 Both arms share the batch-size-invariant ``classify_rows`` kernel, so
 the harness asserts bit-identical class codes per announcement and
 identical per-node fan-back state before any timing happens.

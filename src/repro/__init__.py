@@ -25,8 +25,9 @@ Subpackages
 - :mod:`repro.workloads` — synthetic models of the paper's benchmarks.
 - :mod:`repro.sim` — discrete-time execution engine with contention.
 - :mod:`repro.monitoring` — Ganglia-style multicast monitoring.
-- :mod:`repro.ingest` — streaming tick-level ingest plane: per-node ring
-  buffers, a merged announcement timeline, watermarked batch drains.
+- :mod:`repro.ingest` — streaming tick-level ingest plane: one columnar
+  announcement log with per-node capacity, watermarked drains merged by
+  one stable sort on (timestamp, node).
 - :mod:`repro.db` — the application database and run statistics.
 - :mod:`repro.scheduler` — class-aware scheduling and throughput studies.
 - :mod:`repro.analysis` — cluster diagrams and report rendering.
@@ -40,7 +41,7 @@ Subpackages
   (``except ReproError`` catches every caller-facing error).
 """
 
-__version__ = "1.3.0"
+__version__ = "1.4.0"
 
 from . import (
     analysis,

@@ -476,7 +476,11 @@ class ApplicationClassifier:
 
         This is the streaming-ingest entry point: the unified
         ``classify`` protocol method and the drained-batch ``pump``
-        both run it.
+        both run it.  With obs enabled the call observes the three
+        stages it runs (``filter`` — the cast and shape check —
+        ``pca`` and ``knn``) into ``pipeline.stage.seconds`` and counts
+        its rows in ``pipeline.snapshots``, through the handles
+        :meth:`classify_stacked` uses; with obs off it reads no clock.
 
         Raises
         ------
@@ -487,9 +491,29 @@ class ApplicationClassifier:
         """
         if not self.trained:
             raise NotTrainedError("classifier not trained")
+        if not obs_enabled():
+            return self.knn.predict(self.project(self._feature_rows(features)))
+        clock = self.clock
+        t0 = clock()
+        x = self._feature_rows(features)
+        t1 = clock()
+        scores = self.project(x)
+        t2 = clock()
+        codes = self.knn.predict(scores)
+        t3 = clock()
+        stage_hists, snapshots_c, _ = self._obs_instruments()
+        filter_h, _, pca_h, knn_h, _ = stage_hists
+        filter_h.observe(t1 - t0)
+        pca_h.observe(t2 - t1)
+        knn_h.observe(t3 - t2)
+        snapshots_c.inc(x.shape[0])
+        return codes
+
+    def _feature_rows(self, features: np.ndarray) -> np.ndarray:
+        """*features* as a ``(k, p)`` matrix at the compute dtype, shape-checked."""
         x = np.asarray(features, dtype=self._dtype)
         if x.ndim != 2 or x.shape[1] != self.fused_weights_.shape[0]:
             raise ValueError(
                 f"expected (k, {self.fused_weights_.shape[0]}) feature rows, got shape {x.shape}"
             )
-        return self.knn.predict(self.project(x))
+        return x

@@ -2,12 +2,12 @@
 
 The paper's online path (§4) classifies one gmond announcement at a
 time; the batched serve layer classifies whole fleets per call.  This
-package is the bridge: per-node fixed-capacity ring buffers with no
-per-announcement Python objects (:mod:`repro.ingest.ring`), a k-way
-merged global announcement timeline with stable node-order tie-breaks
-(:mod:`repro.ingest.timeline`), and an :class:`IngestPlane` that
-applies watermark/lateness semantics and drains merged, chronologically
-sorted batches into preallocated buffers
+package is the bridge: one plane-wide columnar announcement log with a
+per-node capacity and no per-announcement Python objects
+(:mod:`repro.ingest.ring`), the merged global timeline as one stable
+sort on ``(timestamp, node)`` (:mod:`repro.ingest.timeline`), and an
+:class:`IngestPlane` that applies watermark/lateness semantics and
+drains merged, chronologically sorted batches into reused buffers
 (:mod:`repro.ingest.plane`) — which ``OnlineClassifier.pump`` then
 classifies through the same row-independent kernel as the
 per-announcement path, bit-identically per compute dtype.
@@ -28,7 +28,7 @@ from .plane import (
 )
 from .ring import AnnouncementRing, DEFAULT_RING_CAPACITY
 from .synth import synthetic_fleet
-from .timeline import iter_merged, stable_merge_order
+from .timeline import stable_merge_order
 
 __all__ = [
     "AnnouncementRing",
@@ -40,7 +40,6 @@ __all__ = [
     "MetricAnnouncement",
     "MulticastChannel",
     "ingest_slo_rules",
-    "iter_merged",
     "stable_merge_order",
     "synthetic_fleet",
 ]

@@ -1,15 +1,15 @@
-"""The ingest plane: rings in, merged chronological batches out.
+"""The ingest plane: one columnar log in, merged chronological batches out.
 
 :class:`IngestPlane` is the streaming buffer between the monitoring
 substrate and the batched classification kernels.  Producers —
 ``gmond`` daemons announcing on the multicast channel, or anything
-calling :meth:`IngestPlane.push` directly — land announcements in
-per-node :class:`~repro.ingest.ring.AnnouncementRing`\\ s with no
-per-announcement Python objects.  Consumers call
-:meth:`IngestPlane.drain`, which gathers every ring's drainable prefix
-into one preallocated batch buffer and merges it into the global
-chronological timeline (:mod:`repro.ingest.timeline`), ready for a
-single vectorized classify call.
+calling :meth:`IngestPlane.push` directly — append announcements to one
+plane-wide columnar log (:class:`~repro.ingest.ring.AnnouncementRing`)
+with no per-announcement Python objects.  Consumers call
+:meth:`IngestPlane.drain`, which sorts the log once on
+``(timestamp, node)`` (:mod:`repro.ingest.timeline`) and gathers the
+drainable prefix into reused batch buffers, ready for a single
+vectorized classify call.
 
 Watermark semantics (out-of-order tolerance)
 --------------------------------------------
@@ -22,8 +22,8 @@ largest emitted timestamp, monotone).  An announcement at or behind the
 frontier is **late**: under the default ``late_policy="accept"`` it is
 counted and emitted in a later drain (locally sorted within that
 drain); under ``late_policy="drop"`` it is counted and discarded.  An
-announcement whose timestamp exactly equals its node's previous one is
-a **duplicate** and is always dropped.
+announcement whose timestamp exactly equals the newest one its node has
+sent is a **duplicate** and is always dropped.
 
 Batches are views into buffers owned by the plane and reused across
 drains — consume (or copy) a :class:`DrainBatch` before the next drain.
@@ -39,7 +39,6 @@ from typing import Iterable
 
 import numpy as np
 
-from ..metrics.catalog import NUM_METRICS
 from ..monitoring.multicast import MetricAnnouncement, MulticastChannel
 from ..obs import (
     SloRule,
@@ -51,7 +50,6 @@ from ..obs import (
     histogram as obs_histogram,
 )
 from .ring import AnnouncementRing, DEFAULT_RING_CAPACITY
-from .timeline import stable_merge_order
 
 #: Late-announcement policies: buffer for the next drain, or discard.
 LATE_POLICIES = ("accept", "drop")
@@ -115,7 +113,7 @@ class IngestStats:
 
 
 class IngestPlane:
-    """Per-node ring buffers with watermarked, merged batch drains.
+    """One columnar announcement log with watermarked, merged batch drains.
 
     Parameters
     ----------
@@ -124,8 +122,9 @@ class IngestPlane:
         ``aggregator`` announcement bus).  Without one, feed the plane
         through :meth:`push`.
     capacity:
-        Per-node ring capacity; a node more than *capacity*
-        announcements ahead of the consumer drops its oldest entries.
+        Per-node bound on buffered announcements; a node more than
+        *capacity* announcements ahead of the consumer drops its oldest
+        entries.
     lateness_s:
         Watermark lag: how far behind the newest seen timestamp a drain
         holds back, to give out-of-order announcements time to arrive.
@@ -147,20 +146,18 @@ class IngestPlane:
         late_policy: str = "accept",
         nodes: Iterable[str] | None = None,
     ) -> None:
-        if capacity < 1:
-            raise ValueError("ring capacity must be positive")
+        self._log = AnnouncementRing(capacity)
         if lateness_s < 0.0:
             raise ValueError("lateness_s must be non-negative")
         if late_policy not in LATE_POLICIES:
             raise ValueError(f"late_policy must be one of {LATE_POLICIES}, got {late_policy!r}")
         self.channel = channel
-        self.capacity = int(capacity)
+        self.capacity = self._log.capacity
         self.lateness_s = float(lateness_s)
         self.late_policy = late_policy
         self._allow = set(nodes) if nodes is not None else None
-        self._rings: list[AnnouncementRing] = []
-        self._ring_of: dict[str, AnnouncementRing] = {}
         self._node_id: dict[str, int] = {}
+        self._names: tuple[str, ...] = ()
         if nodes is not None:
             for node in nodes:
                 self._register(node)
@@ -174,21 +171,6 @@ class IngestPlane:
         self._duplicates = 0
         self._drains = 0
         self._drained_rows = 0
-        # Drain scratch + output buffers, preallocated lazily to the
-        # fleet's total ring capacity and reused across drains (the
-        # single-buffer gather pattern of the batched serve kernel).
-        self._scratch_rows = 0
-        self._peek_ts: np.ndarray | None = None
-        self._batch_ts: np.ndarray | None = None
-        self._batch_vals: np.ndarray | None = None
-        self._batch_nodes: np.ndarray | None = None
-        self._batch_tid: np.ndarray | None = None
-        self._batch_enq: np.ndarray | None = None
-        self._out_ts = np.empty(0, dtype=np.float64)
-        self._out_vals = np.empty((0, NUM_METRICS), dtype=np.float64)
-        self._out_nodes = np.empty(0, dtype=np.intp)
-        self._out_tid = np.empty(0, dtype=np.int64)
-        self._out_enq = np.empty(0, dtype=np.float64)
         self._callback = self._on_announcement
         self._attached = False
         if channel is not None:
@@ -216,14 +198,14 @@ class IngestPlane:
             return
         self.channel.subscribe(self._callback)
         self._attached = True
-        obs_event("ingest.attach", nodes=str(len(self._rings)))
+        obs_event("ingest.attach", nodes=str(len(self._names)))
 
     def detach(self) -> None:
         """Unsubscribe from the channel; idempotent, tolerates torn-down channels."""
         if not self._attached:
             return
         self._attached = False
-        obs_event("ingest.detach", nodes=str(len(self._rings)))
+        obs_event("ingest.detach", nodes=str(len(self._names)))
         try:
             self.channel.unsubscribe(self._callback)
         except ValueError:
@@ -237,85 +219,64 @@ class IngestPlane:
     # ------------------------------------------------------------------
     # producer side
     # ------------------------------------------------------------------
-    def _register(self, node: str) -> AnnouncementRing:
-        ring = AnnouncementRing(node, capacity=self.capacity)
-        self._node_id[node] = len(self._rings)
-        self._rings.append(ring)
-        self._ring_of[node] = ring
-        # A new ring invalidates the drain scratch sizing.
-        self._scratch_rows = 0
-        return ring
+    def _register(self, node: str) -> int:
+        index = self._log.add_node()
+        self._node_id[node] = index
+        self._names += (node,)
+        return index
 
     def push(self, node: str, timestamp: float, values: np.ndarray) -> bool:
         """Buffer one announcement; returns True when it was accepted.
 
         *values* is the node's full length-33 metric vector.  This is
         the per-announcement hot path: one dict lookup, the
-        late/duplicate checks, and two array-row writes — no Python
-        object is created for the announcement.  While observability is
-        on, each accepted announcement also mints a request-trace id and
-        stamps the registry clock into the ring's parallel trace
-        columns, so the trace survives the ring boundary without
-        carrying any object.
+        late/duplicate checks, and one log row write — no Python object
+        is created for the announcement.  While observability is on,
+        each accepted announcement also mints a request-trace id and
+        stamps the registry clock into the log's trace columns, so the
+        trace survives the log without carrying any object.
         """
         self._received += 1
         timestamp = float(timestamp)
-        if self._allow is not None and node not in self._allow:
-            self._filtered += 1
-            if obs_enabled():
-                obs_counter(
-                    "ingest.announcements.dropped",
-                    help="Announcements the ingest plane discarded.",
-                    reason="filtered",
-                ).inc()
-            return False
-        ring = self._ring_of.get(node)
-        if ring is None:
-            ring = self._register(node)
-        if ring.pushed and timestamp == ring.newest_timestamp:
+        timed = obs_enabled()
+        log = self._log
+        index = self._node_id.get(node)
+        if index is None:
+            if self._allow is not None:
+                self._filtered += 1
+                if timed:
+                    _count_dropped("filtered")
+                return False
+            index = self._register(node)
+        if log.pushed[index] and timestamp == log.newest[index]:
             self._duplicates += 1
-            if obs_enabled():
-                obs_counter(
-                    "ingest.announcements.dropped",
-                    help="Announcements the ingest plane discarded.",
-                    reason="duplicate",
-                ).inc()
+            if timed:
+                _count_dropped("duplicate")
             return False
         if timestamp <= self._frontier:
             if self.late_policy == "drop":
                 self._late_dropped += 1
-                if obs_enabled():
-                    obs_counter(
-                        "ingest.announcements.dropped",
-                        help="Announcements the ingest plane discarded.",
-                        reason="late",
-                    ).inc()
+                if timed:
+                    _count_dropped("late")
                 return False
             self._late_accepted += 1
-            if obs_enabled():
+            if timed:
                 obs_counter(
                     "ingest.announcements.late",
                     help="Late announcements accepted behind the frontier.",
                 ).inc()
-        trace_id = 0
-        enqueued_s = 0.0
-        if obs_enabled():
+        if timed:
             registry = obs_get_registry()
-            trace_id = registry.next_trace_id()
-            enqueued_s = registry.clock()
-        if not ring.push(timestamp, values, trace_id, enqueued_s) and obs_enabled():
-            obs_counter(
-                "ingest.announcements.dropped",
-                help="Announcements the ingest plane discarded.",
-                reason="overflow",
-            ).inc()
-        if timestamp > self._max_seen:
-            self._max_seen = timestamp
-        if obs_enabled():
+            if not log.push(index, timestamp, values, registry.next_trace_id(), registry.clock()):
+                _count_dropped("overflow")
             obs_counter(
                 "ingest.announcements.received",
                 help="Announcements offered to the ingest plane.",
             ).inc()
+        else:
+            log.push(index, timestamp, values)
+        if timestamp > self._max_seen:
+            self._max_seen = timestamp
         return True
 
     # ------------------------------------------------------------------
@@ -333,17 +294,17 @@ class IngestPlane:
 
     @property
     def buffered(self) -> int:
-        """Announcements currently ringed, across all nodes."""
-        return sum(len(ring) for ring in self._rings)
+        """Announcements currently buffered, across all nodes."""
+        return len(self._log)
 
     @property
     def node_names(self) -> tuple[str, ...]:
         """Known nodes in registration order (``DrainBatch.node_ids`` indexes this)."""
-        return tuple(ring.node for ring in self._rings)
+        return self._names
 
     def occupancy(self) -> dict[str, float]:
-        """Per-node ring fill fraction (the occupancy gauge values)."""
-        return {ring.node: ring.occupancy() for ring in self._rings}
+        """Per-node fill fraction of the capacity (the occupancy gauge values)."""
+        return {node: held / self.capacity for node, held in zip(self._names, self._log.held)}
 
     def stats(self) -> IngestStats:
         """Snapshot of the plane's lifetime accounting."""
@@ -353,33 +314,11 @@ class IngestPlane:
             late_accepted=self._late_accepted,
             late_dropped=self._late_dropped,
             duplicates=self._duplicates,
-            overflowed=sum(ring.overflowed for ring in self._rings),
+            overflowed=self._log.overflowed,
             drains=self._drains,
             drained_rows=self._drained_rows,
-            buffered=self.buffered,
+            buffered=len(self._log),
         )
-
-    def _ensure_buffers(self) -> None:
-        """Size the drain scratch to the fleet's total ring capacity.
-
-        Runs only when the ring set changed since the last drain; every
-        steady-state drain reuses the same buffers.
-        """
-        need = sum(ring.capacity for ring in self._rings)
-        if need <= self._scratch_rows:
-            return
-        self._peek_ts = np.empty(need, dtype=np.float64)
-        self._batch_ts = np.empty(need, dtype=np.float64)
-        self._batch_vals = np.empty((need, NUM_METRICS), dtype=np.float64)
-        self._batch_nodes = np.empty(need, dtype=np.intp)
-        self._batch_tid = np.empty(need, dtype=np.int64)
-        self._batch_enq = np.empty(need, dtype=np.float64)
-        self._out_ts = np.empty(need, dtype=np.float64)
-        self._out_vals = np.empty((need, NUM_METRICS), dtype=np.float64)
-        self._out_nodes = np.empty(need, dtype=np.intp)
-        self._out_tid = np.empty(need, dtype=np.int64)
-        self._out_enq = np.empty(need, dtype=np.float64)
-        self._scratch_rows = need
 
     def drain(self, max_rows: int | None = None, *, flush: bool = False) -> DrainBatch:
         """Gather and merge every drainable announcement into one batch.
@@ -399,69 +338,27 @@ class IngestPlane:
         timed = obs_enabled()
         t0 = time.perf_counter() if timed else 0.0
         watermark = np.inf if flush else self.watermark
-        counts = [ring.pending_until(watermark) for ring in self._rings]
-        total = sum(counts)
-        if total == 0:
+        total = self._log.drain(watermark, max_rows)
+        node_ids, timestamps, values, trace_ids, enqueued_s = (
+            col[:total] for col in self._log.drained
+        )
+        drained_s = 0.0
+        if total:
+            self._frontier = max(self._frontier, float(timestamps[-1]))
+            self._drains += 1
+            self._drained_rows += total
             if timed:
-                self._observe_drain(0, t0)
-            return DrainBatch(
-                nodes=self.node_names,
-                node_ids=self._out_nodes[:0],
-                timestamps=self._out_ts[:0],
-                values=self._out_vals[:0],
-                watermark=float(watermark),
-                trace_ids=self._out_tid[:0],
-                enqueued_s=self._out_enq[:0],
-            )
-        self._ensure_buffers()
-        if max_rows is not None and total > max_rows:
-            # Peek phase: merge candidate timestamps without consuming,
-            # cut the merged order, and count what each ring keeps.  A
-            # ring's candidates are sorted, so the cut keeps a prefix of
-            # each ring and the per-ring drain below stays contiguous.
-            offset = 0
-            for ring_id, ring in enumerate(self._rings):
-                n = counts[ring_id]
-                ring.peek_timestamps_into(n, self._peek_ts[offset:])
-                self._batch_nodes[offset : offset + n] = ring_id
-                offset += n
-            order = stable_merge_order(self._peek_ts[:total])[:max_rows]
-            taken = np.bincount(self._batch_nodes[order], minlength=len(self._rings))
-            total = max_rows
-        else:
-            taken = counts
-        offset = 0
-        for ring_id, ring in enumerate(self._rings):
-            n = int(taken[ring_id])
-            ring.drain_into(
-                n,
-                self._batch_ts[offset:],
-                self._batch_vals[offset:],
-                self._batch_tid[offset:],
-                self._batch_enq[offset:],
-            )
-            self._batch_nodes[offset : offset + n] = ring_id
-            offset += n
-        order = stable_merge_order(self._batch_ts[:total])
-        np.take(self._batch_ts[:total], order, axis=0, out=self._out_ts[:total])
-        np.take(self._batch_nodes[:total], order, axis=0, out=self._out_nodes[:total])
-        np.take(self._batch_vals[:total], order, axis=0, out=self._out_vals[:total])
-        np.take(self._batch_tid[:total], order, axis=0, out=self._out_tid[:total])
-        np.take(self._batch_enq[:total], order, axis=0, out=self._out_enq[:total])
-        self._frontier = max(self._frontier, float(self._out_ts[total - 1]))
-        self._drains += 1
-        self._drained_rows += total
-        drained_s = obs_get_registry().clock() if timed else 0.0
+                drained_s = obs_get_registry().clock()
         if timed:
             self._observe_drain(total, t0)
         return DrainBatch(
-            nodes=self.node_names,
-            node_ids=self._out_nodes[:total],
-            timestamps=self._out_ts[:total],
-            values=self._out_vals[:total],
+            nodes=self._names,
+            node_ids=node_ids,
+            timestamps=timestamps,
+            values=values,
             watermark=float(watermark),
-            trace_ids=self._out_tid[:total],
-            enqueued_s=self._out_enq[:total],
+            trace_ids=trace_ids,
+            enqueued_s=enqueued_s,
             drained_s=drained_s,
         )
 
@@ -474,14 +371,23 @@ class IngestPlane:
         ).observe(float(rows))
         obs_histogram(
             "ingest.drain.seconds",
-            help="Drain gather+merge latency.",
+            help="Drain sort+gather latency.",
         ).observe(time.perf_counter() - t0)
-        for ring in self._rings:
+        for node, held in zip(self._names, self._log.held):
             obs_gauge(
                 "ingest.ring.occupancy",
-                help="Per-node ring fill fraction.",
-                node=ring.node,
-            ).set(ring.occupancy())
+                help="Per-node fill fraction of the capacity.",
+                node=node,
+            ).set(held / self.capacity)
+
+
+def _count_dropped(reason: str) -> None:
+    """Count one discarded announcement (only called while obs is enabled)."""
+    obs_counter(
+        "ingest.announcements.dropped",
+        help="Announcements the ingest plane discarded.",
+        reason=reason,
+    ).inc()
 
 
 def ingest_slo_rules() -> tuple[SloRule, ...]:

@@ -1,22 +1,30 @@
-"""Per-node announcement ring buffers (preallocated, zero-object).
+"""The plane-wide columnar announcement log (zero-object).
 
-One :class:`AnnouncementRing` holds the buffered-but-undrained
-announcements of a single node in two preallocated NumPy arrays — a
-``(capacity,)`` timestamp vector and a ``(capacity, 33)`` value matrix —
-so the ingest hot path never creates a Python object per announcement.
-The ring is the producer half of :mod:`repro.ingest`: gmond
-announcements land here at heartbeat rate, and the
-:class:`~repro.ingest.plane.IngestPlane` drains contiguous
-chronological prefixes into batch buffers for vectorized
-classification.
+One :class:`AnnouncementRing` holds every buffered-but-undrained
+announcement of an :class:`~repro.ingest.plane.IngestPlane`, whatever
+node sent it, one row per announcement in parallel NumPy columns: node
+index, timestamp, the 33 metric values, trace id and enqueue clock
+reading.  The ingest hot path writes one row and three per-node scalars
+(newest timestamp, pushed count, held count); it never creates a Python
+object per announcement.
 
-Overflow policy is drop-oldest: a push into a full ring overwrites the
-oldest buffered announcement and counts it in
-:attr:`AnnouncementRing.overflowed` — the consumer is behind, and the
-freshest telemetry is worth more than the stalest.  Out-of-order pushes
-(a timestamp older than the newest buffered one) are accepted and the
-ring restores chronological order lazily at the next drain, so the
-in-order fast path stays sort-free.
+Rows are kept in **log order**: the rows a drain left behind, in
+``(timestamp, node)`` order, followed by later pushes in arrival order.
+Restricted to one node, log order is the order a per-node ring buffer
+keeps, so the merge, the watermark cut and drop-oldest all follow from
+it:
+
+- :meth:`AnnouncementRing.drain` is one stable sort of the live rows on
+  ``(timestamp, node index)`` (:func:`~repro.ingest.timeline.stable_merge_order`),
+  a cut at the watermark and at ``max_rows``, a gather of the emitted
+  prefix into reused output columns, and a compaction of the rest back
+  to the front of the log in sorted order.  Every drain sorts, also one
+  that emits nothing, so overflow after it drops the row a ring would.
+- Overflow is drop-oldest per node: a push beyond a node's capacity is
+  counted in :attr:`AnnouncementRing.overflowed` and the node's oldest
+  row in log order is cut — deferred until the next drain, or until the
+  log runs out of rows, whichever comes first.  The freshest telemetry
+  is worth more than the stalest.
 """
 
 from __future__ import annotations
@@ -24,197 +32,180 @@ from __future__ import annotations
 import numpy as np
 
 from ..metrics.catalog import NUM_METRICS
+from .timeline import stable_merge_order
 
-#: Default per-node ring capacity.  At the paper's 5-second heartbeat
-#: this buffers well over an hour of one node's announcements.
+#: Default per-node capacity.  At the paper's 5-second heartbeat this
+#: buffers well over an hour of one node's announcements.
 DEFAULT_RING_CAPACITY: int = 1024
+
+#: Rows the log starts with; it doubles as it fills (see ``_make_room``).
+_MIN_ROWS = 64
 
 __all__ = ["AnnouncementRing", "DEFAULT_RING_CAPACITY"]
 
 
 class AnnouncementRing:
-    """Fixed-capacity ring of one node's announcements.
+    """Columnar log of a whole fleet's buffered announcements.
 
     dtype: float64
 
-    Storage is preallocated at construction: raw announcements are
-    always float64 (the wire format of
-    :class:`~repro.monitoring.multicast.MetricAnnouncement`), and any
-    compute-dtype cast happens downstream at the drain gather, exactly
-    like the batched serving kernel.
+    Raw announcements are float64 (the wire format of
+    :class:`~repro.monitoring.multicast.MetricAnnouncement`); any
+    compute-dtype cast happens downstream of the drain gather.
+
+    The columns (``node_ids``, ``timestamps``, ``values``,
+    ``trace_ids``, ``enqueued_s``) hold :attr:`rows` rows in log order,
+    overflowed rows awaiting their cut included; ``len()`` counts the
+    live ones.  Live rows never exceed ``nodes × capacity``, and the
+    storage never exceeds ``max(64, 2 × nodes × capacity)`` rows.
 
     Parameters
     ----------
-    node:
-        Node identity this ring buffers for.
     capacity:
-        Maximum buffered announcements; a push beyond it drops the
-        oldest entry (counted in :attr:`overflowed`).
+        Per-node bound on buffered announcements; a push beyond it drops
+        that node's oldest row (counted in :attr:`overflowed`).
     """
 
-    def __init__(self, node: str, capacity: int = DEFAULT_RING_CAPACITY) -> None:
+    def __init__(self, capacity: int = DEFAULT_RING_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("ring capacity must be positive")
-        self.node = node
         self.capacity = int(capacity)
-        self.timestamps = np.empty(self.capacity, dtype=np.float64)
-        self.values = np.empty((self.capacity, NUM_METRICS), dtype=np.float64)
-        # Request-trace carriage: trace id and enqueue clock reading per
-        # buffered announcement (0 / 0.0 when tracing is off).  Parallel
-        # arrays, not objects — the zero-object invariant holds.
-        self.trace_ids = np.zeros(self.capacity, dtype=np.int64)
-        self.enqueued_s = np.zeros(self.capacity, dtype=np.float64)
-        self._start = 0
-        self._count = 0
-        #: Lifetime announcements accepted into the ring.
-        self.pushed = 0
-        #: Lifetime announcements lost to overflow (oldest overwritten).
+        #: Per node: newest timestamp ever pushed (−inf before the first).
+        self.newest: list[float] = []
+        #: Per node: lifetime rows pushed into the log.
+        self.pushed: list[int] = []
+        #: Per node: live rows buffered (at most ``capacity``).
+        self.held: list[int] = []
+        #: Lifetime rows lost to overflow, across all nodes.
         self.overflowed = 0
-        #: Newest timestamp ever pushed (−inf before the first push).
-        self.newest_timestamp = -np.inf
-        self._ordered = True
+        #: Log rows in use, overflowed rows not yet cut included.
+        self.rows = 0
+        self._uncut = 0
+        self._log: tuple[np.ndarray, ...] = (
+            np.empty(0, dtype=np.intp),
+            np.empty(0, dtype=np.float64),
+            np.empty((0, NUM_METRICS), dtype=np.float64),
+            np.empty(0, dtype=np.int64),
+            np.empty(0, dtype=np.float64),
+        )
+        self._allocate(_MIN_ROWS)
+
+    def _allocate(self, size: int) -> None:
+        """(Re)size the log and output columns to *size* rows, keeping the log."""
+        log = tuple(np.empty((size,) + col.shape[1:], dtype=col.dtype) for col in self._log)
+        for new, cur in zip(log, self._log):
+            new[: self.rows] = cur[: self.rows]
+        self._log = log
+        self.node_ids, self.timestamps, self.values, self.trace_ids, self.enqueued_s = log
+        #: Drain output columns, in the log's column order; the emitted
+        #: prefix lands here and the buffers are reused across drains.
+        self.drained: tuple[np.ndarray, ...] = tuple(np.empty_like(col) for col in log)
+
+    def add_node(self) -> int:
+        """Register one more node; returns its index."""
+        self.newest.append(-np.inf)
+        self.pushed.append(0)
+        self.held.append(0)
+        return len(self.held) - 1
+
+    def __len__(self) -> int:
+        """Live announcements buffered (pushed, not yet drained or dropped)."""
+        return self.rows - self._uncut
 
     # ------------------------------------------------------------------
     # producer side
     # ------------------------------------------------------------------
     def push(
         self,
+        node: int,
         timestamp: float,
         values: np.ndarray,
         trace_id: int = 0,
         enqueued_s: float = 0.0,
     ) -> bool:
-        """Buffer one announcement; returns False when an old entry was dropped.
+        """Append one announcement of *node*; returns False when one was dropped.
 
-        *values* must be the node's full length-33 metric vector (any
-        other length fails the row assignment).  A timestamp older than
-        the newest buffered one is accepted — the ring re-sorts lazily
-        on the next ordered read — so bounded network reordering never
-        loses data at this layer.  *trace_id*/*enqueued_s* ride along in
-        parallel arrays so a request trace survives the ring boundary.
+        *values* must be the full length-33 metric vector (any other
+        length fails the row assignment).  Out-of-order timestamps are
+        accepted: the next drain sorts.  *trace_id*/*enqueued_s* ride
+        along in their own columns so a request trace survives the log.
         """
-        dropped = self._count == self.capacity
-        if dropped:
-            # Drop-oldest: overwrite the head slot and advance.
-            slot = self._start
-            self._start = (self._start + 1) % self.capacity
-            self._count -= 1
+        row = self.rows
+        if row == self.node_ids.shape[0]:
+            self._make_room()
+            row = self.rows
+        self.node_ids[row] = node
+        self.timestamps[row] = timestamp
+        self.values[row] = values
+        self.trace_ids[row] = trace_id
+        self.enqueued_s[row] = enqueued_s
+        self.rows = row + 1
+        self.pushed[node] += 1
+        if timestamp > self.newest[node]:
+            self.newest[node] = timestamp
+        if self.held[node] == self.capacity:
             self.overflowed += 1
-        else:
-            slot = (self._start + self._count) % self.capacity
-        self.timestamps[slot] = timestamp
-        self.values[slot] = values
-        self.trace_ids[slot] = trace_id
-        self.enqueued_s[slot] = enqueued_s
-        self._count += 1
-        self.pushed += 1
-        if timestamp < self.newest_timestamp:
-            self._ordered = False
-        else:
-            self.newest_timestamp = timestamp
-        return not dropped
+            self._uncut += 1
+            return False
+        self.held[node] += 1
+        return True
 
-    def __len__(self) -> int:
-        """Announcements currently buffered (pushed, not yet drained)."""
-        return self._count
+    def _make_room(self) -> None:
+        """Cut overflowed rows if that frees half the log, else grow it.
 
-    def occupancy(self) -> float:
-        """Fill fraction in ``[0, 1]`` — the ring-pressure gauge value."""
-        return self._count / self.capacity
+        While at most half the rows await their cut, more than half are
+        live; live rows are bounded by ``nodes × capacity``, so the log
+        only grows below twice that, and every cut frees at least half
+        of it (amortized O(1) per push, also under sustained overflow).
+        """
+        size = self.node_ids.shape[0]
+        if 2 * self._uncut >= size:
+            self._cut_overflow()
+        else:
+            self._allocate(min(2 * size, 2 * len(self.held) * self.capacity))
+
+    def _cut_overflow(self) -> None:
+        """Drop every node's overflowed rows: the oldest ones in log order."""
+        n = self.rows
+        nodes = self.node_ids[:n]
+        by_node = np.argsort(nodes, kind="stable")
+        counts = np.bincount(nodes, minlength=len(self.held))
+        starts = np.cumsum(counts) - counts
+        rank = np.empty(n, dtype=np.intp)
+        rank[by_node] = np.arange(n) - np.repeat(starts, counts)
+        keep = rank >= (counts - np.asarray(self.held))[nodes]
+        kept = int(np.count_nonzero(keep))
+        for col in self._log:
+            col[:kept] = col[:n][keep]
+        self.rows = kept
+        self._uncut = 0
 
     # ------------------------------------------------------------------
     # consumer side
     # ------------------------------------------------------------------
-    def _logical_indices(self) -> np.ndarray:
-        """Physical slot index of each buffered entry, oldest first.
+    def drain(self, watermark: float, max_rows: int | None = None) -> int:
+        """Move the drainable prefix into :attr:`drained`; returns its length.
 
-        Returns an ``(len(self),)`` int array of positions into the
-        preallocated storage rows.
+        The live rows are stably sorted on ``(timestamp, node index)``;
+        the prefix with ``timestamp <= watermark``, cut after *max_rows*
+        rows, is gathered in that order into the first *k* rows of each
+        :attr:`drained` column, and the rest stay buffered at the front
+        of the log, still sorted.
         """
-        idx = np.arange(self._start, self._start + self._count)
-        if self._start + self._count > self.capacity:
-            idx %= self.capacity
-        return idx
-
-    def restore_order(self) -> None:
-        """Re-sort the buffered entries chronologically (stable) if needed.
-
-        No-op on the in-order fast path.  After out-of-order pushes the
-        valid region is rewritten, linearized at slot 0, in stable
-        timestamp order — equal timestamps keep their arrival order.
-        """
-        if self._ordered or self._count <= 1:
-            self._ordered = True
-            return
-        idx = self._logical_indices()
-        order = idx[np.argsort(self.timestamps[idx], kind="stable")]
-        self.timestamps[: self._count] = self.timestamps[order]
-        self.values[: self._count] = self.values[order]
-        self.trace_ids[: self._count] = self.trace_ids[order]
-        self.enqueued_s[: self._count] = self.enqueued_s[order]
-        self._start = 0
-        self._ordered = True
-
-    def pending_until(self, watermark: float) -> int:
-        """Buffered announcements with ``timestamp <= watermark``.
-
-        Restores chronological order first, so the result is the length
-        of the drainable prefix.
-        """
-        self.restore_order()
-        if self._count == 0:
-            return 0
-        first = min(self.capacity - self._start, self._count)
-        head = self.timestamps[self._start : self._start + first]
-        n = int(np.searchsorted(head, watermark, side="right"))
-        if n == first and self._count > first:
-            tail = self.timestamps[: self._count - first]
-            n += int(np.searchsorted(tail, watermark, side="right"))
-        return n
-
-    def peek_timestamps_into(self, n: int, out: np.ndarray) -> None:
-        """Copy the oldest *n* timestamps into ``out[:n]`` without consuming.
-
-        Requires chronological order (call :meth:`pending_until` first);
-        *n* must not exceed ``len(self)``.
-        """
-        first = min(self.capacity - self._start, n)
-        out[:first] = self.timestamps[self._start : self._start + first]
-        if n > first:
-            out[first:n] = self.timestamps[: n - first]
-
-    def drain_into(
-        self,
-        n: int,
-        ts_out: np.ndarray,
-        val_out: np.ndarray,
-        trace_out: np.ndarray | None = None,
-        enq_out: np.ndarray | None = None,
-    ) -> None:
-        """Move the oldest *n* entries into ``ts_out[:n]`` / ``val_out[:n]``.
-
-        The gather is two contiguous block copies into the caller's
-        preallocated batch buffers (the ``pairwise_sq_distances``-style
-        single-buffer pattern); the entries are consumed from the ring.
-        *n* must not exceed ``len(self)`` and the ring must be ordered.
-        Pass *trace_out*/*enq_out* to carry the trace columns along
-        (consumed either way).
-        """
+        if self._uncut:
+            self._cut_overflow()
+        n = self.rows
         if n == 0:
-            return
-        first = min(self.capacity - self._start, n)
-        ts_out[:first] = self.timestamps[self._start : self._start + first]
-        val_out[:first] = self.values[self._start : self._start + first]
-        if trace_out is not None:
-            trace_out[:first] = self.trace_ids[self._start : self._start + first]
-        if enq_out is not None:
-            enq_out[:first] = self.enqueued_s[self._start : self._start + first]
-        if n > first:
-            ts_out[first:n] = self.timestamps[: n - first]
-            val_out[first:n] = self.values[: n - first]
-            if trace_out is not None:
-                trace_out[first:n] = self.trace_ids[: n - first]
-            if enq_out is not None:
-                enq_out[first:n] = self.enqueued_s[: n - first]
-        self._start = (self._start + n) % self.capacity
-        self._count -= n
+            return 0
+        order = stable_merge_order(self.timestamps[:n], self.node_ids[:n])
+        for col, out in zip(self._log, self.drained):
+            np.take(col[:n], order, axis=0, out=out[:n])
+        k = int(np.searchsorted(self.drained[1][:n], watermark, side="right"))
+        if max_rows is not None:
+            k = min(k, max_rows)
+        left = n - k
+        for col, out in zip(self._log, self.drained):
+            col[:left] = out[k:n]
+        self.rows = left
+        self.held = np.bincount(self.node_ids[:left], minlength=len(self.held)).tolist()
+        return k

@@ -1,70 +1,32 @@
-"""K-way merged announcement timeline across per-node rings.
+"""The merged announcement timeline: one stable sort on (timestamp, node).
 
-Two equivalent views of the same merge, with the equivalence pinned by
-``tests/test_ingest_timeline.py``:
-
-- :func:`iter_merged` — the reference heap merge.  A classic k-way
-  merge over per-node chronologically-sorted timestamp segments using
-  ``heapq``, with a ``(timestamp, segment_index)`` heap key so ties
-  between nodes break in **stable node order** and entries within one
-  node keep their order.  This is the semantic definition of the global
-  tick timeline; it is O(n log k) and yields one element at a time.
-- :func:`stable_merge_order` — the vectorized drain-path merge.  The
-  per-node segments are laid out back-to-back *in node order* and
-  stable-argsorted by timestamp.  A stable sort of that concatenation
-  produces exactly the heap-merge sequence: equal timestamps keep their
-  concatenation order, which is node order across nodes and arrival
-  order within a node.  One NumPy call replaces the per-element heap,
-  which is what keeps the drain gather vectorized.
+The global tick timeline orders announcements by timestamp; equal
+timestamps from different nodes break in **node order** (registration
+index), and equal timestamps from one node keep their buffered order.
+That is the k-way heap merge over per-node sorted segments with a
+``(timestamp, segment_index)`` key, and it is what one stable
+lexicographic sort of the buffered rows on ``(timestamp, node index)``
+produces in a single NumPy call, whatever order the rows arrive in.
+``tests/test_ingest_timeline.py`` pins the equivalence against a heap
+merge reference.
 
 dtype: float64
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Iterator, Sequence
-
 import numpy as np
 
-__all__ = ["iter_merged", "stable_merge_order"]
+__all__ = ["stable_merge_order"]
 
 
-def iter_merged(
-    segments: Sequence[np.ndarray],
-) -> Iterator[tuple[float, int, int]]:
-    """Yield ``(timestamp, segment_index, element_index)`` in merge order.
+def stable_merge_order(timestamps: np.ndarray, node_ids: np.ndarray) -> np.ndarray:
+    """Merge permutation of buffered rows: by timestamp, then node, then position.
 
-    *segments* are per-node timestamp arrays, each non-decreasing, given
-    in node order.  The heap key is ``(timestamp, segment_index)``:
-    timestamp ties between different nodes emit the lower-indexed node
-    first, and entries of a single node emit in their stored order.
-
-    This is the reference implementation; the drain path uses the
-    vectorized :func:`stable_merge_order` equivalent.
+    *timestamps* and *node_ids* have shape ``(n,)``.  Returns an
+    ``(n,)`` index array such that ``timestamps[order]`` is the merged
+    timeline: ties between nodes go to the lower node index, and rows
+    of one node with equal timestamps keep their input order (the sort
+    is stable).
     """
-    heap: list[tuple[float, int, int]] = []
-    for seg_idx, seg in enumerate(segments):
-        if len(seg):
-            heap.append((float(seg[0]), seg_idx, 0))
-    heapq.heapify(heap)
-    while heap:
-        timestamp, seg_idx, elem_idx = heapq.heappop(heap)
-        yield timestamp, seg_idx, elem_idx
-        nxt = elem_idx + 1
-        seg = segments[seg_idx]
-        if nxt < len(seg):
-            heapq.heappush(heap, (float(seg[nxt]), seg_idx, nxt))
-
-
-def stable_merge_order(timestamps: np.ndarray) -> np.ndarray:
-    """Merge permutation for node-order-concatenated sorted segments.
-
-    *timestamps* has shape ``(n,)``: per-node non-decreasing segments
-    concatenated in node order.  Returns an ``(n,)`` index array such
-    that ``timestamps[order]`` is the k-way merged timeline with the
-    same tie-breaks as :func:`iter_merged` — the stable sort keeps
-    equal timestamps in concatenation order, i.e. lower node index
-    first, arrival order within a node.
-    """
-    return np.argsort(timestamps, kind="stable")
+    return np.lexsort((node_ids, timestamps))

@@ -1,6 +1,6 @@
 """Request-scoped trace contexts and tail-based sampling.
 
-One served request crosses four async boundaries (ingest ring → drain →
+One served request crosses four async boundaries (ingest log → drain →
 service queue → worker batch → pipeline); thread-local span stacks lose
 its identity at every one.  A :class:`TraceContext` is the explicit
 carrier: minted where the request enters the system

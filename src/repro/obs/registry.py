@@ -559,7 +559,7 @@ class MetricsRegistry:
     ) -> TraceContext:
         """Rebuild a context for a trace id carried through a buffer.
 
-        The ingest plane stores bare trace ids in its NumPy rings; the
+        The ingest plane stores bare trace ids in a NumPy column; the
         consumer re-materializes a context (fresh root span id, same
         trace id) on the other side.  A zero id returns the falsy
         :data:`~repro.obs.context.NULL_TRACE`.

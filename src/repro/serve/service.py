@@ -343,7 +343,7 @@ class ClassificationService:
         in the drain's node order.  Trace contexts minted at
         ``IngestPlane.push`` ride along
         (:func:`~repro.serve.stream.drain_trace_contexts`), so a request
-        trace spans ring, drain, queue, and batch.
+        trace spans the ingest log, drain, queue, and batch.
 
         Raises
         ------

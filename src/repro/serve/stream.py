@@ -84,8 +84,8 @@ def drain_trace_contexts(batch: DrainBatch) -> list[TraceContext]:
     ``obs.traces.coalesced`` counter rather than finished — they ended
     as part of a window that is observable through the representative
     trace.  Each adopted context is stamped with the ``ingest.push``
-    (ring enqueue) and ``ingest.drain`` boundary marks recorded by the
-    plane, so downstream attribution can telescope ring-buffer wait and
+    (log enqueue) and ``ingest.drain`` boundary marks recorded by the
+    plane, so downstream attribution can telescope ingest-buffer wait and
     drain hand-off into the request's end-to-end latency.
 
     Returns falsy null contexts when the drain carries no trace ids
@@ -125,7 +125,7 @@ class IngestBenchResult:
 
     Rates are end-to-end announcements per second: the per-announcement
     arm pays channel delivery plus one classify per announcement; the
-    ingest arm pays channel delivery into the rings plus vectorized
+    ingest arm pays channel delivery into the ingest log plus vectorized
     drains through the batch kernel.  ``bit_identical`` asserts that
     both arms produced the same class for every announcement *and* the
     same per-node rolling state.

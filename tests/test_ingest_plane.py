@@ -279,3 +279,40 @@ def test_slo_rules_cover_the_ingest_instruments():
     assert "ingest.announcements.dropped" in metrics
     assert "ingest.ring.occupancy" in metrics
     assert "ingest.drain_to_classify.seconds" in metrics
+
+
+class TestPushHotPath:
+    @pytest.mark.parametrize("enabled", [False, True])
+    def test_push_reads_the_obs_switch_once(self, monkeypatch, enabled):
+        from repro import obs
+        from repro.ingest import plane as plane_module
+
+        reads = []
+
+        def counting_enabled():
+            reads.append(None)
+            return enabled
+
+        monkeypatch.setattr(plane_module, "obs_enabled", counting_enabled)
+        if enabled:
+            obs.enable()
+        try:
+            plane = IngestPlane(capacity=1, late_policy="drop", nodes=["a"])
+            pushes = [
+                ("a", 1.0),  # accepted
+                ("a", 1.0),  # duplicate
+                ("z", 2.0),  # filtered
+                ("a", 2.0),  # overflow
+            ]
+            for node, ts in pushes:
+                plane.push(node, ts, np.ones(NUM_METRICS))
+            assert len(reads) == len(pushes)
+            plane.drain()
+            del reads[:]
+            plane.push("a", 0.5, np.ones(NUM_METRICS))  # late, dropped
+            plane.push("a", 3.0, np.ones(NUM_METRICS))
+            assert len(reads) == 2
+        finally:
+            obs.disable()
+        stats = plane.stats()
+        assert (stats.duplicates, stats.filtered, stats.overflowed, stats.late_dropped) == (1, 1, 1, 1)

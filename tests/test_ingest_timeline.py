@@ -1,11 +1,13 @@
-"""Merged announcement timeline: the heap reference vs the vectorized merge."""
+"""Merged announcement timeline: the heap reference vs the one stable sort."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.ingest import iter_merged, stable_merge_order
+from repro.ingest import stable_merge_order
+
+from tests.ingest_oracle import iter_merged
 
 
 def merge_via_heap(segments):
@@ -19,7 +21,7 @@ def merge_via_argsort(segments):
     flat = np.concatenate([np.asarray(s, dtype=np.float64) for s in segments])
     seg_of = np.repeat(np.arange(len(segments)), lengths)
     elem_of = np.concatenate([np.arange(n) for n in lengths])
-    order = stable_merge_order(flat)
+    order = stable_merge_order(flat, seg_of)
     return [(float(flat[i]), int(seg_of[i]), int(elem_of[i])) for i in order]
 
 
@@ -48,7 +50,7 @@ class TestEquivalence:
 
     def test_all_empty(self):
         assert merge_via_heap([[], []]) == []
-        assert stable_merge_order(np.empty(0)).shape == (0,)
+        assert stable_merge_order(np.empty(0), np.empty(0, dtype=np.intp)).shape == (0,)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_randomized_with_heavy_ties(self, seed):
@@ -74,3 +76,17 @@ class TestContract:
         for seg in (0, 1):
             elems = [e for _, s, e in merged if s == seg]
             assert elems == sorted(elems)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_arrival_order_does_not_matter(seed):
+    """Rows in any order merge to the heap's (timestamp, node) sequence."""
+    rng = np.random.default_rng(seed)
+    segments = [sorted(np.round(rng.uniform(0, 10, int(rng.integers(0, 30))) * 2) / 2) for _ in range(5)]
+    flat = np.concatenate([np.asarray(s, dtype=np.float64) for s in segments])
+    seg_of = np.repeat(np.arange(len(segments)), [len(s) for s in segments])
+    shuffle = rng.permutation(flat.shape[0])
+    ts, seg = flat[shuffle], seg_of[shuffle]
+    order = stable_merge_order(ts, seg)
+    merged = [(float(t), int(s)) for t, s in zip(ts[order], seg[order])]
+    assert merged == [(t, s) for t, s, _ in iter_merged(segments)]

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -100,6 +101,43 @@ class TestServedTelemetry:
         assert 1 <= knn.count <= len(fleet)
         assert registry.counter("pipeline.runs").value == float(len(fleet))
         assert registry.counter("pipeline.snapshots").value == float(sum(map(len, fleet)))
+
+
+class TestPulledTelemetry:
+    """Ingest traffic pumped through classify_rows feeds the pipeline instruments."""
+
+    def test_pump_feeds_stage_histogram_and_snapshots(self, classifier):
+        from repro.core.online import OnlineClassifier
+        from repro.ingest import IngestPlane, MulticastChannel, synthetic_fleet
+
+        registry = obs.enable()
+        channel = MulticastChannel()
+        online = OnlineClassifier(classifier, IngestPlane(channel))
+        for announcement in synthetic_fleet(8, 20, seed=3):
+            channel.announce(announcement)
+        assert len(online.pump(flush=True)) == 160
+        assert registry.counter("pipeline.snapshots").value == 160.0
+        for stage in ("filter", "pca", "knn"):
+            assert registry.histogram("pipeline.stage.seconds", stage=stage).count >= 1, stage
+        assert registry.counter("pipeline.runs").value == 0.0, "rows are not runs"
+
+    def test_disabled_classify_rows_reads_no_clock(self):
+        from repro.core.pipeline import ApplicationClassifier
+
+        reads = []
+
+        def clock():
+            reads.append(None)
+            return float(len(reads))
+
+        trained = ApplicationClassifier(clock=clock).train(synthetic_training())
+        features = np.ones((3, trained.fused_weights_.shape[0]))
+        del reads[:]
+        trained.classify_rows(features)
+        assert reads == []
+        obs.enable()
+        trained.classify_rows(features)
+        assert len(reads) == 4, "one read before and after each of three stages"
 
 
 class TestManagerInstrumentation:
